@@ -118,7 +118,7 @@ struct RunResult {
 
 /// Runs the full closed-loop workload once with `num_loops` event loops
 /// against an already-running cluster. Fresh client, fresh sessions.
-bool RunOne(const std::map<DiskId, nadreg::nad::NadClient::Endpoint>& endpoints,
+bool RunOne(const std::map<DiskId, nadreg::nad::Endpoint>& endpoints,
             std::size_t clients, std::size_t ops, std::size_t num_loops,
             RunResult* out) {
   Bench bench;
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::unique_ptr<nadreg::nad::NadServer>> servers;
-  std::map<DiskId, nadreg::nad::NadClient::Endpoint> endpoints;
+  std::map<DiskId, nadreg::nad::Endpoint> endpoints;
   for (DiskId d = 0; d < kDisks; ++d) {
     auto server = nadreg::nad::NadServer::Start({});
     if (!server.ok()) {
@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     endpoints[d] =
-        nadreg::nad::NadClient::Endpoint{"127.0.0.1", (*server)->port()};
+        nadreg::nad::Endpoint{"127.0.0.1", (*server)->port()};
     servers.push_back(std::move(*server));
   }
 

@@ -1,9 +1,9 @@
-// micro_hotpath — memory & syscall diet gate for the batched RPC path.
+// micro_hotpath — memory & syscall diet gate for the vectored RPC path.
 //
 // Drives P concurrent closed-loop pipelines through one NadClient against
 // a kDisks-server loopback cluster. Each pipeline issues one Submit batch
 // of B writes (spread round-robin over the disks, so the admission pass
-// coalesces them into one kBatchReq frame per disk), waits for all B
+// sends each disk its share with one writev), waits for all B
 // completions, and immediately issues the next batch — the quorum-phase
 // shape of core::RegisterSet, stripped to the transport.
 //
@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::unique_ptr<nadreg::nad::NadServer>> servers;
-  std::map<DiskId, nadreg::nad::NadClient::Endpoint> endpoints;
+  std::map<DiskId, nadreg::nad::Endpoint> endpoints;
   for (DiskId d = 0; d < kDisks; ++d) {
     auto server = nadreg::nad::NadServer::Start({});
     if (!server.ok()) {
@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     endpoints[d] =
-        nadreg::nad::NadClient::Endpoint{"127.0.0.1", (*server)->port()};
+        nadreg::nad::Endpoint{"127.0.0.1", (*server)->port()};
     servers.push_back(std::move(*server));
   }
 

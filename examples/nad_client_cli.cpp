@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   }
   if (eps.empty() || argi >= argc) return Usage(argv[0]);
 
-  std::map<DiskId, nad::NadClient::Endpoint> endpoints;
+  std::map<DiskId, nad::Endpoint> endpoints;
   for (std::size_t d = 0; d < eps.size(); ++d) {
     endpoints[static_cast<DiskId>(d)] = eps[d];
   }

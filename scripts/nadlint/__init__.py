@@ -1,7 +1,7 @@
 """nadlint: the repo's C++-aware invariant linter (DESIGN.md §15).
 
-Grown out of scripts/lint_invariants.py (which remains as a thin CLI
-shim): a comment/string/raw-string/preprocessor-aware tokenizer
+Run it as `PYTHONPATH=scripts python3 -m nadlint` (ctest, CI's lint
+job). A comment/string/raw-string/preprocessor-aware tokenizer
 (tokenizer.py) and a lightweight per-file scope + symbol model
 (model.py) feed rule passes that plain regexes fundamentally cannot
 express — arena-escape (lifetime.py), lock-order against the

@@ -1,5 +1,8 @@
-"""`python3 -m nadlint` (with scripts/ on sys.path) — same CLI as the
-scripts/lint_invariants.py shim."""
+"""`python3 -m nadlint` with scripts/ on PYTHONPATH:
+
+    PYTHONPATH=scripts python3 -m nadlint [--root DIR] [--fixtures DIR]
+                                          [--sarif OUT.sarif]
+"""
 
 import sys
 

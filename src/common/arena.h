@@ -1,11 +1,11 @@
 /// \file
 /// Bump-pointer arena with slab reuse: the allocator behind the NAD hot
-/// path's transient encode/decode state (frame headers, batch sub-views).
+/// path's transient encode state (frame headers, copied response values).
 ///
 /// An Arena hands out raw bytes from a chain of slabs by bumping an
 /// offset; Reset() rewinds the offset but RETAINS every slab, so a
-/// steady-state request cycle (frame → send → Reset, or frame → decode →
-/// Reset) performs zero heap allocations after warm-up. Allocation is a
+/// steady-state request cycle (frame → send → Reset) performs zero heap
+/// allocations after warm-up. Allocation is a
 /// pointer bump — no per-object headers, no free lists, no locks.
 ///
 /// Ownership and lifetime rules (DESIGN.md §14):
@@ -17,17 +17,16 @@
 ///  * Everything allocated from an Arena dies at the next Reset(). A
 ///    pointer or string_view into an arena must not outlive the reset
 ///    point of its owning cycle (wire-drained for a client's tx arena,
-///    end-of-frame for an rx arena, end-of-request for the server's).
-///  * Objects placed in an arena are never destructed — AllocArray
-///    requires trivially destructible element types.
+///    end-of-burst for the server's).
+///  * Nothing placed in an arena is ever destructed: it holds raw bytes.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #ifndef NDEBUG
@@ -41,8 +40,8 @@ class Arena {
   static constexpr std::size_t kDefaultSlabBytes = 64 * 1024;
   /// Reset() releases dedicated one-off slabs larger than this (or than
   /// the configured slab size, whichever is bigger) instead of retaining
-  /// them: a single outlier allocation — e.g. the sub-view array of a
-  /// hostile maximum-count batch frame — must not inflate the arena's
+  /// them: a single outlier allocation — e.g. one maximum-size read
+  /// value copied into a response — must not inflate the arena's
   /// footprint forever. Smaller oversized slabs stay retained, so a
   /// workload of legitimately large values keeps its warm memory.
   static constexpr std::size_t kMaxRetainedSlabBytes = 1024 * 1024;
@@ -82,18 +81,6 @@ class Arena {
     offset_ = off + n;
     bytes_used_ += n;
     return s.data.get() + off;
-  }
-
-  /// Returns `count` default-constructed `T`s. T must be trivially
-  /// destructible — arena objects are never destructed (see file comment).
-  template <typename T>
-  T* AllocArray(std::size_t count) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "arena objects are never destructed");
-    char* raw = Alloc(count * sizeof(T), alignof(T));
-    T* arr = reinterpret_cast<T*>(raw);
-    for (std::size_t i = 0; i < count; ++i) new (arr + i) T();
-    return arr;
   }
 
   /// Copies `n` bytes into the arena and returns the stable copy.

@@ -4,7 +4,7 @@
 /// event times. Production code asks a Clock* for `Now()` instead of
 /// calling std::chrono::steady_clock::now() directly, so tests can drive
 /// time deterministically (ManualClock) and the invariant linter can
-/// forbid raw sleeps in the retry/fault paths (scripts/lint_invariants.py,
+/// forbid raw sleeps in the retry/fault paths (nadlint, scripts/nadlint/,
 /// rule `no-sleep`): code that wants to pause must wait on a CondVar
 /// against a deadline derived from a Clock, never block the thread with a
 /// wall-clock sleep it cannot be woken from.

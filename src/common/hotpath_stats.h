@@ -14,7 +14,7 @@
 ///     stripe lock (reads), assigning a received value into the
 ///     register's string (writes);
 ///   * both: RxBuffer compaction/growth moving unconsumed bytes, and the
-///     cold AppendFrame/PutBytesCopy staging paths.
+///     cold PutBytesCopy staging path.
 /// The pre-change pipeline additionally counted: staging a write value,
 /// framing bytes into the wire queue, appending received bytes to the rx
 /// buffer, and decode materialization — all gone, which is what

@@ -6,13 +6,12 @@
 ///   Read(const OpOptions&)        -> Expected<...>   (kTimeout on deadline)
 ///   Write(value, const OpOptions&) -> Status         (kTimeout on deadline)
 ///
-/// replacing the old Read()/ReadWithDeadline() split. The pre-existing
-/// bare signatures remain as thin back-compat overloads.
+/// The bare Read()/Write(value) signatures remain as thin overloads that
+/// block without a deadline.
 ///
 /// A deadline is a harness/deployment concern, not part of the paper's
 /// model: an operation abandoned on timeout may still take effect later
-/// via its pending base-register writes (Fig. 1 discipline) — exactly like
-/// the old ReadWithDeadline.
+/// via its pending base-register writes (Fig. 1 discipline).
 #pragma once
 
 #include <chrono>

@@ -1,6 +1,6 @@
 /// \file
 /// Annotated synchronization primitives: the only mutex/condvar types the
-/// repo uses outside this directory (enforced by scripts/lint_invariants.py).
+/// repo uses outside this directory (enforced by nadlint, scripts/nadlint/).
 ///
 /// nadreg::Mutex, MutexLock and CondVar are thin wrappers over the std
 /// primitives carrying Clang Thread Safety Analysis attributes (see

@@ -11,8 +11,8 @@
 /// Enable checking with:  cmake -DNADREG_THREAD_SAFETY=ON  (Clang only),
 /// which adds -Wthread-safety -Werror. The annotated primitives these
 /// macros decorate live in common/sync.h (nadreg::Mutex / MutexLock /
-/// CondVar); raw std::mutex is banned outside src/common/ by
-/// scripts/lint_invariants.py.
+/// CondVar); raw std::mutex is banned outside src/common/ by nadlint
+/// (scripts/nadlint/).
 #pragma once
 
 #if defined(__clang__) && (!defined(SWIG))

@@ -89,7 +89,7 @@ struct RegisterSet::Shared : std::enable_shared_from_this<RegisterSet::Shared> {
   // Issues one whole phase (a read or write of every register) with the
   // paper's pending-write discipline per register. All registers whose
   // slot is free are handed to the client in ONE vectored call, so a
-  // networked backend coalesces the phase into one batch frame per disk;
+  // networked backend sends the phase with one writev per disk;
   // busy slots queue (reads coalescing) and chain from OnComplete.
   void IssuePhase(const std::shared_ptr<Ticket::State>& st, bool is_write,
                   const Value& v) {

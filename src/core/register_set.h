@@ -17,8 +17,8 @@
 /// crashed register uses O(1) memory.
 ///
 /// A phase's immediately-issuable registers go to the client in one
-/// vectored IssueReads/IssueWrites call, so the TCP backend collapses the
-/// whole fan-out into one batched frame per disk (per-register semantics
+/// vectored IssueReads/IssueWrites call, so the TCP backend sends the
+/// whole fan-out with one writev per disk (per-register semantics
 /// are untouched — each op still completes, or silently never does, on
 /// its own).
 ///

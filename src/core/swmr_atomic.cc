@@ -46,13 +46,6 @@ Expected<std::string> SwmrAtomicReader::Read(const OpOptions& opts) {
   return ReadImpl(opts.Start(), opts.label);
 }
 
-std::optional<std::string> SwmrAtomicReader::ReadWithDeadline(
-    std::chrono::milliseconds d) {
-  auto result = ReadImpl(std::chrono::steady_clock::now() + d, {});
-  if (!result.ok()) return std::nullopt;
-  return std::move(*result);
-}
-
 Expected<std::string> SwmrAtomicReader::ReadImpl(OpDeadline deadline,
                                                  const std::string& label) {
   obs::ScopedPhase op_phase(&ReadHist(), "swmr", "read", label);

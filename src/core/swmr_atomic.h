@@ -64,9 +64,6 @@ class SwmrAtomicReader : public obs::Instrumented {
   /// deadline expired (the READ is abandoned; this is outside the model).
   Expected<std::string> Read(const OpOptions& opts);
 
-  /// Back-compat shim for the pre-OpOptions deadline API.
-  std::optional<std::string> ReadWithDeadline(std::chrono::milliseconds d);
-
   obs::PhaseCounters op_metrics() const override;
 
  private:

@@ -90,19 +90,18 @@ struct Backend {
       b.sim = std::make_unique<SimFarm>(farm_opts);
       return b;
     }
-    std::map<DiskId, nad::NadClient::Endpoint> endpoints;
+    std::map<DiskId, nad::Endpoint> endpoints;
     for (DiskId d = 0; d < num_disks; ++d) {
       nad::NadServer::Options so;
       so.seed = opts.seed + d;
       so.max_delay_us = opts.max_delay_us;
       auto server = nad::NadServer::Start(so);
       if (!server.ok()) continue;  // a missing disk simply looks crashed
-      endpoints[d] = nad::NadClient::Endpoint{"127.0.0.1", (*server)->port()};
+      endpoints[d] = nad::Endpoint{"127.0.0.1", (*server)->port()};
       b.tcp_sink.by_disk[d] = server->get();
       b.servers.push_back(std::move(*server));
     }
     nad::NadClient::Options copts;
-    copts.enable_batching = opts.enable_batching;
     copts.op_timeout = opts.client_op_timeout;
     auto client = nad::NadClient::Connect(endpoints, copts);
     if (client.ok()) b.tcp = std::move(*client);

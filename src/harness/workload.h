@@ -70,9 +70,6 @@ struct WorkloadOptions {
   /// TCP backend only: the NAD client's per-base-op expiry budget
   /// (janitor + circuit breaker; see nad/client.h). Zero = never expire.
   std::chrono::milliseconds client_op_timeout{0};
-  /// TCP backend only: per-op frames instead of coalesced batch frames
-  /// (the interop/ablation toggle, forwarded to nad::NadClient::Options).
-  bool enable_batching = true;
   /// When non-empty, dump the process-wide metrics registry as JSON here
   /// after the run (quorum waits, per-phase latency, RPC round trips).
   std::string metrics_json_path;

@@ -38,9 +38,6 @@ std::int64_t ToUs(Clock::time_point t) {
 /// 1024 on Linux.
 constexpr std::size_t kMaxIov = 256;
 
-/// Batch frame prologue: type + request id + count.
-constexpr std::size_t kBatchHeaderBytes = 1 + 8 + 4;
-
 /// Sent-chunk count past which a backpressured wire queue is compacted
 /// (CompactWire): under sustained partial sends to a slow peer the sent
 /// prefix, its arena headers, and any parked zombie values would
@@ -52,7 +49,7 @@ constexpr std::size_t kCompactWireChunks = 64;
 /// slots never move — the zero-copy wire path references `value` IN PLACE
 /// from the gather queue, which is sound only because of that stability
 /// (and because a response for the op proves its frame already left; see
-/// DispatchResponse for the byzantine-server case).
+/// HandleFrame for the byzantine-server case).
 struct PendingOp {
   MsgType req_type = MsgType::kReadReq;  // kReadReq / kWriteReq / kStatsReq
   RegisterId reg;
@@ -113,8 +110,6 @@ struct NadClient::Conn final : EventLoop::IoWatcher {
 
   /// Frame headers of queued chunks; reset whenever the wire drains.
   Arena tx_arena;
-  /// Decode state (batch sub arrays); reset after each frame dispatch.
-  Arena rx_arena;
   /// All in-flight ops, one table per connection (the structural shard).
   PendingTable<PendingOp> pending;
   /// Write values whose ops completed or expired while the wire still
@@ -127,9 +122,6 @@ struct NadClient::Conn final : EventLoop::IoWatcher {
   std::vector<Value> zombies;
   /// CompactWire's bounce buffer (capacity reused across compactions).
   std::string compact_scratch;
-  /// FrameStaged's run scratch (capacity reused across admission passes).
-  std::vector<std::pair<std::uint64_t, PendingOp*>> run_scratch;
-  std::size_t run_bytes = kBatchHeaderBytes;
 
   BackoffState backoff;
   CircuitBreaker breaker;
@@ -328,8 +320,8 @@ void NadClient::Submit(ProcessId /*p*/, std::vector<Op> ops,
   const auto expires =
       opts.deadline.has_value() ? now + *opts.deadline : ExpiryFrom(now);
   // Group per owning loop so one Post hands each loop its whole share of
-  // the batch atomically — the admission pass then coalesces everything
-  // bound for one disk into one batch frame (and each loop wakes once).
+  // the batch atomically — the admission pass then writes everything
+  // bound for one disk with one writev (and each loop wakes once).
   std::vector<std::vector<SubmitEntry>> per_loop(loops_.size());
   for (Op& op : ops) {
     Conn* conn = ConnFor(op.reg.disk);
@@ -515,66 +507,23 @@ void NadClient::Admit(std::vector<SubmitEntry> entries) {
 
 void NadClient::FrameStaged(Conn* conn) {
   if (conn->staged.empty()) return;
-  // Coalesce the admission pass into as few frames as possible,
-  // preserving FIFO order: consecutive reads/writes form one batch
-  // (split at the frame cap); STATS stays a standalone out-of-band
-  // frame. Frames are built as WireChunks — headers in tx_arena, write
-  // values referenced from their pending entries — never materialized.
+  // One per-op frame per staged op, in FIFO order, all queued for the
+  // same FlushWire: batching is the one writev, not a frame shape. Frames
+  // are built as WireChunks — headers in tx_arena, write values
+  // referenced from their pending entries — never materialized.
   // hot-path-begin(client-framing)
-  auto& run = conn->run_scratch;
-  run.clear();
-  conn->run_bytes = kBatchHeaderBytes;
+  FrameWriter w(&conn->tx_arena, &conn->wire);
+  std::size_t ops = 0;
   for (const std::uint64_t id : conn->staged) {
     PendingOp* p = conn->pending.Find(id);
     if (p == nullptr) continue;  // expired while the link was down
-    if (!options_.enable_batching || p->req_type == MsgType::kStatsReq) {
-      FlushRun(conn);
-      if (p->req_type != MsgType::kStatsReq) batch_size_->Observe(1);
-      FrameWriter w(&conn->tx_arena, &conn->wire);
-      w.BeginFrame();
-      AppendPayload(w, p->req_type, id, p->reg, p->value);
-      w.EndFrame();
-      continue;
-    }
-    const std::size_t sub_bytes =
-        kBatchSubOverhead + PayloadSize(p->req_type, p->value.size());
-    if (!run.empty() && conn->run_bytes + sub_bytes > kMaxFrameBytes) {
-      FlushRun(conn);
-    }
-    conn->run_bytes += sub_bytes;
-    run.emplace_back(id, p);
-  }
-  FlushRun(conn);
-  conn->staged.clear();
-  // hot-path-end
-}
-
-void NadClient::FlushRun(Conn* conn) {
-  auto& run = conn->run_scratch;
-  conn->run_bytes = kBatchHeaderBytes;
-  if (run.empty()) return;
-  // hot-path-begin(client-flush-run)
-  FrameWriter w(&conn->tx_arena, &conn->wire);
-  w.BeginFrame();
-  if (run.size() == 1) {
-    // A lone op costs less as a plain per-op frame — and keeps the
-    // pre-batch opcodes exercised against every server.
-    batch_size_->Observe(1);
-    const auto& [id, p] = run.front();
+    if (p->req_type != MsgType::kStatsReq) ++ops;
+    w.BeginFrame();
     AppendPayload(w, p->req_type, id, p->reg, p->value);
-  } else {
-    batch_size_->Observe(run.size());
-    w.PutU8(static_cast<std::uint8_t>(MsgType::kBatchReq));
-    w.PutU64(0);
-    w.PutU32(static_cast<std::uint32_t>(run.size()));
-    for (const auto& [id, p] : run) {
-      w.PutU32(static_cast<std::uint32_t>(
-          PayloadSize(p->req_type, p->value.size())));
-      AppendPayload(w, p->req_type, id, p->reg, p->value);
-    }
+    w.EndFrame();
   }
-  w.EndFrame();
-  run.clear();
+  if (ops > 0) batch_size_->Observe(ops);
+  conn->staged.clear();
   // hot-path-end
 }
 
@@ -711,9 +660,7 @@ bool NadClient::ParseFrames(Conn* conn) {
     }
     if (rx.Size() - 4 < len) break;
     HandleFrame(conn, std::string_view(rx.Head() + 4, len));
-    // The frame is dispatched; the decode views into the buffer and the
-    // rx arena are dead, so both can recycle.
-    conn->rx_arena.Reset();
+    // The frame is dispatched; the decode views into the buffer are dead.
     rx.Consume(4 + len);
   }
   return true;
@@ -721,27 +668,19 @@ bool NadClient::ParseFrames(Conn* conn) {
 }
 
 void NadClient::HandleFrame(Conn* conn, std::string_view payload) {
-  auto msg = DecodeMessageView(payload, &conn->rx_arena);
-  if (!msg) {
-    LOG_WARN << "nad-client: malformed response: " << msg.status().ToString();
+  const auto now = Clock::now();
+  auto decoded = DecodeMessageView(payload);
+  if (!decoded) {
+    LOG_WARN << "nad-client: malformed response: "
+             << decoded.status().ToString();
     return;
   }
   // Any successfully received frame is proof of life: close the breaker
   // so suspicion clears as soon as the disk answers again.
   conn->breaker.RecordSuccess();
   conn->suspected_until_us.store(0, std::memory_order_relaxed);
-  if (msg->type == MsgType::kBatchResp) {
-    for (std::uint32_t i = 0; i < msg->num_subs; ++i) {
-      DispatchResponse(conn, msg->subs[i]);
-    }
-  } else {
-    DispatchResponse(conn, *msg);
-  }
-}
-
-void NadClient::DispatchResponse(Conn* conn, const MessageView& msg) {
-  const auto now = Clock::now();
-  MsgType expect;
+  const MessageView& msg = *decoded;
+  MsgType expect = MsgType::kReadReq;
   switch (msg.type) {
     case MsgType::kReadResp:
       expect = MsgType::kReadReq;
@@ -759,9 +698,7 @@ void NadClient::DispatchResponse(Conn* conn, const MessageView& msg) {
     case MsgType::kWriteReq:
     case MsgType::kMergeReq:
     case MsgType::kStatsReq:
-    case MsgType::kBatchReq:
-    case MsgType::kBatchResp:
-      return;  // not a per-op response opcode; ignore
+      return;  // not a response opcode; ignore
   }
   // hot-path-begin(client-dispatch)
   PendingOp* entry = conn->pending.Find(msg.request_id);
@@ -815,7 +752,6 @@ void NadClient::OnLinkBroken(Conn* conn) {
   conn->staged.clear();
   conn->DropWire();
   conn->rx.Clear();
-  conn->rx_arena.Reset();
   // STATS probes die with the link: observability reads have no
   // pending-write semantics to preserve, so they fail fast instead of
   // being retransmitted. Handlers are collected first and run after the
@@ -864,7 +800,6 @@ void NadClient::OnLoopDead(EventLoop* loop) {
     conn->staged.clear();
     conn->DropWire();
     conn->rx.Clear();
-    conn->rx_arena.Reset();
     const std::size_t n = conn->pending.size();
     std::vector<StatsHandler> dead_stats;
     conn->pending.ForEach([&](std::uint64_t, PendingOp& p) {
@@ -1001,8 +936,6 @@ void NadClient::Sweep(Conn* conn) {
       case MsgType::kWriteResp:
       case MsgType::kMergeResp:
       case MsgType::kStatsResp:
-      case MsgType::kBatchReq:
-      case MsgType::kBatchResp:
         // Only the four request opcodes are ever pending; the rest are
         // unreachable, named for the exhaustiveness lint.
         timed_out_stats.push_back(std::move(p.on_stats));

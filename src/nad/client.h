@@ -24,10 +24,12 @@
 /// thin shims over Submit, so core::RegisterSet, quorum_wait.h, and all
 /// emulations run unchanged.
 ///
-/// Each admission pass coalesces every staged read/write bound for a disk
-/// into one kBatchReq frame (split at kMaxFrameBytes), so a quorum phase
-/// issued via IssueReads/IssueWrites costs one frame per disk instead of
-/// one per register.
+/// Every op travels as its own per-op frame (protocol.h); batching is a
+/// syscall property. Each admission pass frames every staged op bound for
+/// a disk into that connection's gather queue and hands the queue to one
+/// writev, so a quorum phase issued via IssueReads/IssueWrites costs one
+/// send syscall per disk instead of one per register — and the server
+/// answers the frames it finds buffered together with one sendmsg.
 ///
 /// Failure handling (the chaos-tolerant transport under the paper's
 /// fail-prone model):
@@ -70,14 +72,13 @@
 /// protocol.h's FrameWriter as WireChunks — headers bump-allocated from
 /// a per-connection tx arena, write values referenced IN PLACE from
 /// their pending-table entries — and gather-written straight to writev,
-/// so a batched write's value bytes are copied exactly zero times
-/// between Submit and the kernel (values small enough to be SSO are the
-/// exception: they are copied into the arena so no chunk ever aliases a
-/// string's inline buffer — see kSmallValueCopyBytes). Responses are
-/// decoded as views (DecodeMessageView over the rx buffer + a per-frame
-/// rx arena); the only hot-path copy left is materializing a read's
-/// Value for its handler. The tx arena resets when the wire drains; the
-/// rx arena resets after each frame dispatch. Heap-backed write values
+/// so a write's value bytes are copied exactly zero times between Submit
+/// and the kernel (values small enough to be SSO are the exception: they
+/// are copied into the arena so no chunk ever aliases a string's inline
+/// buffer — see kSmallValueCopyBytes). Responses are decoded as views
+/// (DecodeMessageView over the rx buffer, allocating nothing); the only
+/// hot-path copy left is materializing a read's Value for its handler.
+/// The tx arena resets when the wire drains. Heap-backed write values
 /// whose ops expire while their bytes are still queued move to a
 /// per-connection zombie list that dies when the wire drains — the
 /// gather queue never dangles. Under sustained send backpressure the
@@ -86,8 +87,8 @@
 ///
 /// Observability: per-RPC latency ("nad.client.read_us"/"write_us"),
 /// outstanding depth ("nad.client.in_flight"), coalescing depth
-/// ("nad.client.batch_size"), plus the fault-path series:
-/// "nad.client.retries" (requests retransmitted after a reconnect),
+/// ("nad.client.batch_size": ops framed per admission-pass flush), plus
+/// the fault-path series: "nad.client.retries" (requests retransmitted after a reconnect),
 /// "nad.client.reconnects" (successful reconnects),
 /// "nad.client.reconnect_failures", "nad.client.expired" (operations
 /// expired past their deadline) and "nad.client.breaker_open"
@@ -121,10 +122,6 @@ namespace nadreg::nad {
 /// nested class's member initializers are not usable in a default
 /// argument of its own enclosing class.
 struct ClientOptions {
-  /// When false, every operation is sent as its own per-op frame (the
-  /// pre-batch opcodes) — the interop / ablation mode. Admission stays
-  /// nonblocking either way.
-  bool enable_batching = true;
   /// When false, a dead connection stays dead (the pre-fault-injection
   /// behaviour: the disk appears crashed forever).
   bool enable_reconnect = true;
@@ -143,10 +140,6 @@ struct ClientOptions {
 
 class NadClient : public BaseRegisterClient {
  public:
-  /// Back-compat alias: the endpoint type now lives in the protocol
-  /// header, shared with the server CLI and demos.
-  using Endpoint = nad::Endpoint;
-
   /// Completion for a STATS op: the server's metrics dump on success,
   /// kTimeout when the deadline expired first, kUnavailable when the
   /// disk is unmapped or the connection died before an answer.
@@ -197,7 +190,7 @@ class NadClient : public BaseRegisterClient {
   /// The single issue path: validates each op, counts it in flight, and
   /// hands it to its disk's owning loop. Never blocks. Ops for the same
   /// disk submitted in one call are admitted atomically, so one
-  /// admission pass coalesces them into one batch frame. Ops on an
+  /// admission pass sends their frames with one writev. Ops on an
   /// unmapped or closed-forever disk behave as crashed (the handler
   /// never runs), except STATS which completes with kUnavailable;
   /// oversized writes are dropped fail-fast (see RejectOversized).
@@ -258,10 +251,9 @@ class NadClient : public BaseRegisterClient {
   void OnIoReady(Conn* conn, std::uint32_t events);
   bool DrainReads(Conn* conn);
   bool ParseFrames(Conn* conn);
+  /// Decodes one response frame and completes its pending op.
   void HandleFrame(Conn* conn, std::string_view payload);
-  void DispatchResponse(Conn* conn, const MessageView& msg);
   void FrameStaged(Conn* conn);
-  void FlushRun(Conn* conn);
   void FlushWire(Conn* conn);
   /// Backpressure escape hatch: rewrites a partially-sent wire queue as
   /// one arena-backed chunk (protocol.h's CompactWire) so the sent chunk

@@ -34,11 +34,6 @@ std::string EncodeMessage(const Message& m) {
     case MsgType::kStatsResp:
       e.PutBytes(m.value);
       break;
-    case MsgType::kBatchReq:
-    case MsgType::kBatchResp:
-      e.PutU32(static_cast<std::uint32_t>(m.subs.size()));
-      for (const Message& sub : m.subs) e.PutBytes(EncodeMessage(sub));
-      break;
   }
   return out;
 }
@@ -61,19 +56,14 @@ std::size_t EncodedMessageSize(const Message& m) {
     case MsgType::kMergeResp:
     case MsgType::kStatsReq:
       break;
-    case MsgType::kBatchReq:
-    case MsgType::kBatchResp:
-      n += 4;  // count
-      for (const Message& sub : m.subs) n += 4 + EncodedMessageSize(sub);
-      break;
   }
   return n;
 }
 
 Expected<std::string> EncodeMessageChecked(const Message& m) {
-  // Size check FIRST: an oversized message (a write value near the cap,
-  // an overgrown batch) fails fast without materializing the multi-
-  // megabyte encode it would then throw away.
+  // Size check FIRST: an oversized message (a write value near the cap)
+  // fails fast without materializing the multi-megabyte encode it would
+  // then throw away.
   const std::size_t size = EncodedMessageSize(m);
   if (size > kMaxFrameBytes) {
     return Status::Invalid("message: encoded payload of " +
@@ -102,9 +92,15 @@ char* FrameWriter::HeaderBytes(std::size_t n) {
 }
 
 void FrameWriter::CloseOpenChunk() {
-  if (open_base_ != open_end_) {
-    out_->push_back(WireChunk{open_base_, static_cast<std::size_t>(
-                                              open_end_ - open_base_)});
+  const auto n = static_cast<std::size_t>(open_end_ - open_base_);
+  if (n != 0) {
+    // Consecutive frames' headers are contiguous in the arena: extend the
+    // previous chunk instead of spending another iovec slot on them.
+    if (!out_->empty() && out_->back().data + out_->back().len == open_base_) {
+      out_->back().len += n;
+    } else {
+      out_->push_back(WireChunk{open_base_, n});
+    }
   }
   open_base_ = open_end_ = nullptr;
 }
@@ -118,7 +114,9 @@ void FrameWriter::BeginFrame() {
 std::size_t FrameWriter::EndFrame() {
   assert(len_slot_ != nullptr && "EndFrame without BeginFrame");
   CloseOpenChunk();
-  Patch32(len_slot_, static_cast<std::uint32_t>(payload_bytes_));
+  for (int i = 0; i < 4; ++i) {
+    len_slot_[i] = static_cast<char>((payload_bytes_ >> (8 * i)) & 0xff);
+  }
   len_slot_ = nullptr;
   return payload_bytes_;
 }
@@ -159,14 +157,6 @@ void FrameWriter::PutBytesCopy(std::string_view v) {
   std::memcpy(HeaderBytes(v.size()), v.data(), v.size());
 }
 
-char* FrameWriter::PutSlotU32() { return HeaderBytes(4); }
-
-void FrameWriter::Patch32(char* slot, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    slot[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
 void CompactWire(std::vector<WireChunk>* wire, std::size_t* head,
                  std::size_t* off, Arena* arena, std::string* scratch) {
   assert(*head < wire->size() || *off == 0);
@@ -186,28 +176,6 @@ void CompactWire(std::vector<WireChunk>* wire, std::size_t* head,
   hotpath::CountCopy(scratch->size());
   char* base = arena->Copy(scratch->data(), scratch->size());
   wire->push_back(WireChunk{base, scratch->size()});
-}
-
-std::size_t PayloadSize(MsgType t, std::size_t value_size) {
-  switch (t) {
-    case MsgType::kReadReq:
-      return 1 + 8 + 4 + 8;
-    case MsgType::kWriteReq:
-    case MsgType::kMergeReq:
-      return 1 + 8 + 4 + 8 + 4 + value_size;
-    case MsgType::kReadResp:
-    case MsgType::kStatsResp:
-      return 1 + 8 + 4 + value_size;
-    case MsgType::kWriteResp:
-    case MsgType::kMergeResp:
-    case MsgType::kStatsReq:
-      return 1 + 8;
-    case MsgType::kBatchReq:
-    case MsgType::kBatchResp:
-      break;  // batches have no fixed size; callers compose them
-  }
-  assert(false && "PayloadSize: not a non-batch message type");
-  return 0;
 }
 
 void AppendPayload(FrameWriter& w, MsgType t, std::uint64_t request_id,
@@ -233,10 +201,6 @@ void AppendPayload(FrameWriter& w, MsgType t, std::uint64_t request_id,
     case MsgType::kMergeResp:
     case MsgType::kStatsReq:
       break;
-    case MsgType::kBatchReq:
-    case MsgType::kBatchResp:
-      assert(false && "AppendPayload: batches are composed by the caller");
-      break;
   }
 }
 
@@ -246,18 +210,31 @@ void AppendPayload(FrameWriter& w, MsgType t, std::uint64_t request_id,
 
 namespace {
 
-/// Decodes one message payload into views. `allow_batch` is false for
-/// batch sub-operations (batches never nest).
-Expected<MessageView> DecodeViewImpl(std::string_view payload, Arena* arena,
-                                     bool allow_batch) {
+/// True for the type codes this protocol speaks; the retired batch codes
+/// (7, 8) and anything out of range are unknown.
+bool IsKnownType(std::uint8_t t) {
+  switch (static_cast<MsgType>(t)) {
+    case MsgType::kReadReq:
+    case MsgType::kWriteReq:
+    case MsgType::kReadResp:
+    case MsgType::kWriteResp:
+    case MsgType::kStatsReq:
+    case MsgType::kStatsResp:
+    case MsgType::kMergeReq:
+    case MsgType::kMergeResp:
+      return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+Expected<MessageView> DecodeMessageView(std::string_view payload) {
   Decoder d(payload);
   MessageView m;
   auto type = d.GetU8();
   if (!type) return type.status();
-  if (*type < static_cast<std::uint8_t>(MsgType::kReadReq) ||
-      *type > static_cast<std::uint8_t>(MsgType::kMergeResp)) {
-    return Status::Invalid("message: unknown type");
-  }
+  if (!IsKnownType(*type)) return Status::Invalid("message: unknown type");
   m.type = static_cast<MsgType>(*type);
   auto id = d.GetU64();
   if (!id) return id.status();
@@ -295,47 +272,9 @@ Expected<MessageView> DecodeViewImpl(std::string_view payload, Arena* arena,
     case MsgType::kMergeResp:
     case MsgType::kStatsReq:
       break;
-    case MsgType::kBatchReq:
-    case MsgType::kBatchResp: {
-      if (!allow_batch) return Status::Invalid("batch: nested batch");
-      auto count = d.GetU32();
-      if (!count) return count.status();
-      // Each sub-operation costs its length prefix plus the smallest
-      // legal payload for this direction; a hostile count cannot make us
-      // allocate far beyond what the payload could ever hold.
-      const std::size_t min_sub =
-          kBatchSubOverhead + (m.type == MsgType::kBatchReq
-                                   ? kMinBatchSubRequestBytes
-                                   : kMinBatchSubResponseBytes);
-      if (*count > d.Remaining() / min_sub) {
-        return Status::Invalid("batch: count exceeds payload");
-      }
-      MessageView* subs = arena->AllocArray<MessageView>(*count);
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        auto sub_bytes = d.GetBytesView();
-        if (!sub_bytes) return sub_bytes.status();
-        auto sub = DecodeViewImpl(*sub_bytes, arena, /*allow_batch=*/false);
-        if (!sub) return sub.status();
-        const bool ok = m.type == MsgType::kBatchReq
-                            ? IsBatchableRequest(sub->type)
-                            : IsBatchableResponse(sub->type);
-        if (!ok) return Status::Invalid("batch: sub-operation of wrong type");
-        subs[i] = *sub;
-      }
-      m.subs = subs;
-      m.num_subs = *count;
-      break;
-    }
   }
   if (!d.AtEnd()) return Status::Invalid("message: trailing bytes");
   return m;
-}
-
-}  // namespace
-
-Expected<MessageView> DecodeMessageView(std::string_view payload,
-                                        Arena* arena) {
-  return DecodeViewImpl(payload, arena, /*allow_batch=*/true);
 }
 
 Expected<Message> DecodeMessage(std::string_view payload) {
@@ -343,10 +282,7 @@ Expected<Message> DecodeMessage(std::string_view payload) {
   Message m;
   auto type = d.GetU8();
   if (!type) return type.status();
-  if (*type < static_cast<std::uint8_t>(MsgType::kReadReq) ||
-      *type > static_cast<std::uint8_t>(MsgType::kMergeResp)) {
-    return Status::Invalid("message: unknown type");
-  }
+  if (!IsKnownType(*type)) return Status::Invalid("message: unknown type");
   m.type = static_cast<MsgType>(*type);
   auto id = d.GetU64();
   if (!id) return id.status();
@@ -388,33 +324,6 @@ Expected<Message> DecodeMessage(std::string_view payload) {
       auto value = d.GetBytes();
       if (!value) return value.status();
       m.value = std::move(*value);
-      break;
-    }
-    case MsgType::kBatchReq:
-    case MsgType::kBatchResp: {
-      auto count = d.GetU32();
-      if (!count) return count.status();
-      // Same pre-reservation bound as the view decoder: length prefix
-      // plus the smallest legal sub payload for this direction.
-      const std::size_t min_sub =
-          kBatchSubOverhead + (m.type == MsgType::kBatchReq
-                                   ? kMinBatchSubRequestBytes
-                                   : kMinBatchSubResponseBytes);
-      if (*count > d.Remaining() / min_sub) {
-        return Status::Invalid("batch: count exceeds payload");
-      }
-      m.subs.reserve(*count);
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        auto sub_bytes = d.GetBytes();
-        if (!sub_bytes) return sub_bytes.status();
-        auto sub = DecodeMessage(*sub_bytes);
-        if (!sub) return sub.status();
-        const bool ok = m.type == MsgType::kBatchReq
-                            ? IsBatchableRequest(sub->type)
-                            : IsBatchableResponse(sub->type);
-        if (!ok) return Status::Invalid("batch: sub-operation of wrong type");
-        m.subs.push_back(std::move(*sub));
-      }
       break;
     }
   }

@@ -3,10 +3,10 @@
 ///
 /// A NAD is "a simple device that just executes requests to read and write
 /// blocks of data" (Section 1). The protocol is correspondingly small:
-/// length-prefixed frames carrying one of four messages. Requests carry a
-/// client-chosen id echoed in the response so a client can multiplex many
-/// outstanding nonblocking operations over one connection — the model's
-/// concurrent pending requests (Fig. 1).
+/// length-prefixed frames, each carrying exactly one operation or one
+/// STATS probe. Requests carry a client-chosen id echoed in the response
+/// so a client can multiplex many outstanding nonblocking operations over
+/// one connection — the model's concurrent pending requests (Fig. 1).
 ///
 ///   frame    := u32 payload_length, payload
 ///   payload  := u8 type, u64 request_id, body
@@ -16,48 +16,42 @@
 ///   WriteResp:= (empty)
 ///   StatsReq := (empty)
 ///   StatsResp:= bytes text
-///   BatchReq := u32 count, count * bytes(sub-request payload)
-///   BatchResp:= u32 count, count * bytes(sub-response payload)
 ///   MergeReq := u32 disk, u64 block, bytes delta
 ///   MergeResp:= (empty)
+///
+/// Type codes 7 and 8 are retired (they were a vectored batch frame) and
+/// decode as unknown types. Batching is a syscall property, not a frame
+/// shape (DESIGN.md §11): a client writes a whole quorum phase's per-op
+/// frames with one writev, and a server answers every complete frame it
+/// has buffered (a *burst*) with one sendmsg.
 ///
 /// MERGE is the coded-storage opcode: instead of overwriting the register,
 /// the server applies MergeCodedCell(current, delta) at the linearization
 /// point — the join of the erasure-coded cell semilattice (fragments +
 /// committed tag, common/coded_cell.h). The join is idempotent and
 /// commutative, so the client retransmits merges across reconnects exactly
-/// like writes. Wire shape is identical to WriteReq/WriteResp and merges
-/// batch like writes.
+/// like writes. Wire shape is identical to WriteReq/WriteResp.
 ///
 /// STATS is an out-of-band observability opcode (it does not exist in the
 /// paper's model and takes no part in any emulation): the server answers
 /// with a plain-text dump of its metrics registry — request counts,
 /// per-opcode service latency, journal/recovery counters.
 ///
-/// BATCH is the vectored opcode: one frame carries N independent
-/// sub-operations, each a complete ReadReq/WriteReq payload with its own
-/// request id (responses: ReadResp/WriteResp). Sub-operations are served
-/// in order; their responses come back in one BatchResp. A crashed
-/// register silently *omits* its sub-response from the batch — exactly
-/// the per-register unresponsive failure mode, vectored. Batches never
-/// nest and never carry STATS.
-///
 /// A crashed register/disk simply never answers — there is no error
 /// response for it, exactly like the unresponsive failure mode.
 ///
 /// Two encode/decode surfaces share this format:
+///  * FrameWriter + AppendPayload / DecodeMessageView — the one path the
+///    client and server use. FrameWriter builds [u32 length][payload]
+///    frames directly as a list of WireChunks: header bytes are
+///    bump-allocated from an Arena and merged into contiguous runs, value
+///    bytes are REFERENCED in place (zero-copy) and scatter-gathered into
+///    writev by the caller. DecodeMessageView parses a frame into views
+///    over the receive buffer and allocates nothing. Ownership rules are
+///    documented on each type (and DESIGN.md §14).
 ///  * Message + EncodeMessage/DecodeMessage — the owning, materializing
-///    pair. Simple and self-contained; used by cold paths (STATS, CLIs,
-///    tests) and as the golden reference the zero-copy pair is tested
-///    byte-for-byte against.
-///  * FrameWriter + MessageView/DecodeMessageView — the hot-path pair.
-///    FrameWriter builds [u32 length][payload] frames directly as a list
-///    of WireChunks: header bytes are bump-allocated from an Arena and
-///    merged into contiguous runs, value bytes are REFERENCED in place
-///    (zero-copy) and scatter-gathered into writev by the caller.
-///    DecodeMessageView parses a frame into views over the receive
-///    buffer, allocating only the batch sub-array — from an Arena.
-///    Ownership rules are documented on each type (and DESIGN.md §14).
+///    pair, used only as the test golden the zero-copy path is checked
+///    byte-for-byte against (and by the tests' raw-socket peers).
 #pragma once
 
 #include <cstdint>
@@ -79,29 +73,17 @@ enum class MsgType : std::uint8_t {
   kWriteResp = 4,
   kStatsReq = 5,
   kStatsResp = 6,
-  kBatchReq = 7,
-  kBatchResp = 8,
+  // 7 and 8 are retired (the old batch frame); decoders reject them.
   kMergeReq = 9,
   kMergeResp = 10,
 };
 
-/// True for the opcodes a batch frame may carry as sub-operations.
-inline constexpr bool IsBatchableRequest(MsgType t) {
-  return t == MsgType::kReadReq || t == MsgType::kWriteReq ||
-         t == MsgType::kMergeReq;
-}
-inline constexpr bool IsBatchableResponse(MsgType t) {
-  return t == MsgType::kReadResp || t == MsgType::kWriteResp ||
-         t == MsgType::kMergeResp;
-}
-
+/// Owning form of one message: the test golden (see the file comment).
 struct Message {
   MsgType type = MsgType::kReadReq;
-  std::uint64_t request_id = 0;  // unused (0) for batch frames
+  std::uint64_t request_id = 0;
   RegisterId reg;     // requests only
   std::string value;  // WriteReq/MergeReq and ReadResp
-  /// Sub-operations of a kBatchReq/kBatchResp frame, in service order.
-  std::vector<Message> subs;
 
   friend bool operator==(const Message&, const Message&) = default;
 };
@@ -192,11 +174,6 @@ class FrameWriter {
   /// u32 length prefix + a copy of the bytes into the arena. For sources
   /// that die before the send (e.g. values read out under a lock).
   void PutBytesCopy(std::string_view v);
-  /// Reserves a 4-byte in-frame slot (counted as payload) for a value
-  /// known only later — e.g. a batch's surviving-sub count. Patch with
-  /// Patch32 before sending.
-  char* PutSlotU32();
-  static void Patch32(char* slot, std::uint32_t v);
 
   Arena* arena() { return arena_; }
 
@@ -213,52 +190,34 @@ class FrameWriter {
   char* open_end_ = nullptr;
 };
 
-/// Serialized payload size of one NON-batch message (what PutU32 needs
-/// for a batch sub-operation's length prefix, known before writing it).
-std::size_t PayloadSize(MsgType t, std::size_t value_size);
-
-/// Appends one non-batch message payload to `w` (no frame bookkeeping,
-/// no sub length prefix). `value` is referenced zero-copy (PutBytesRef)
-/// for the value-carrying types; byte-identical to EncodeMessage of the
-/// equivalent Message.
+/// Appends one message payload to `w` (no frame bookkeeping: callers
+/// bracket it with BeginFrame/EndFrame). `value` is referenced zero-copy
+/// (PutBytesRef) for the value-carrying types; byte-identical to
+/// EncodeMessage of the equivalent Message.
 void AppendPayload(FrameWriter& w, MsgType t, std::uint64_t request_id,
                    const RegisterId& reg, std::string_view value);
 
-/// Zero-copy decode result: `value` views the decoded buffer, `subs` is
-/// arena-allocated. Valid only while BOTH the decoded buffer and the
-/// arena live unmodified — i.e. within one frame-dispatch cycle; copy
-/// anything that must survive (the client copies a read value exactly
-/// once, into the handler's Value).
+/// Zero-copy decode result: `value` views the decoded buffer. Valid only
+/// while that buffer lives unmodified — i.e. within one frame-dispatch
+/// cycle; copy anything that must survive (the client copies a read value
+/// exactly once, into the handler's Value).
 struct MessageView {
   MsgType type = MsgType::kReadReq;
-  std::uint64_t request_id = 0;  // unused (0) for batch frames
+  std::uint64_t request_id = 0;
   RegisterId reg;          // requests only
   std::string_view value;  // WriteReq / MergeReq / ReadResp / StatsResp
-  const MessageView* subs = nullptr;  // kBatchReq/kBatchResp children
-  std::uint32_t num_subs = 0;
 };
 
 /// Parses a message payload into views (see MessageView for validity).
-/// Total, exactly like DecodeMessage: never trusts lengths, enum values,
-/// or counts; rejects nested batches and trailing bytes.
-[[nodiscard]] Expected<MessageView> DecodeMessageView(std::string_view payload,
-                                                      Arena* arena);
+/// Total, exactly like DecodeMessage: never trusts lengths or enum
+/// values (the retired types 7 and 8 included); rejects trailing bytes.
+[[nodiscard]] Expected<MessageView> DecodeMessageView(std::string_view payload);
 
 /// Frame-payload overhead of one encoded WriteReq around its value
 /// (type + request id + disk + block + value length prefix). A write
 /// value of more than kMaxFrameBytes - kWriteReqOverhead bytes can never
-/// be framed, batched or not.
+/// be framed.
 inline constexpr std::size_t kWriteReqOverhead = 1 + 8 + 4 + 8 + 4;
-/// Per-sub-operation overhead inside a batch frame (u32 length prefix).
-inline constexpr std::size_t kBatchSubOverhead = 4;
-/// Smallest legal sub payload inside a batch, per direction: a request
-/// batch carries nothing smaller than a ReadReq (type + request id +
-/// disk + block), a response batch nothing smaller than a WriteResp
-/// (type + request id). The decoders bound a frame's claimed sub count
-/// by Remaining / (kBatchSubOverhead + this), so a hostile count cannot
-/// make them reserve far beyond what the payload could ever hold.
-inline constexpr std::size_t kMinBatchSubRequestBytes = 1 + 8 + 4 + 8;
-inline constexpr std::size_t kMinBatchSubResponseBytes = 1 + 8;
 
 /// Compacts a partially-sent gather queue in place: drops the fully-sent
 /// chunk prefix (`*head` chunks plus `*off` bytes of the next one) and

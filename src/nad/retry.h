@@ -14,7 +14,7 @@
 /// All three types are pure state machines: no threads, no sleeps, no
 /// clock reads. Time enters only as explicit time_point / duration
 /// arguments, so tests drive transitions deterministically (ManualClock)
-/// and the no-sleep lint rule (scripts/lint_invariants.py) holds trivially.
+/// and nadlint's no-sleep rule (scripts/nadlint/) holds trivially.
 ///
 /// Ownership/threading: externally synchronized. NadClient keeps one
 /// BackoffState + CircuitBreaker per connection, owned by the

@@ -131,8 +131,7 @@ void NadServer::AcceptLoop() {
   }
 }
 
-bool NadServer::ServeOpView(const MessageView& msg, FrameWriter* w,
-                            bool in_batch) {
+bool NadServer::ServeOpView(const MessageView& msg, FrameWriter* w) {
   const auto serve_start = std::chrono::steady_clock::now();
   // hot-path-begin(server-op)
   if (store_.IsCrashed(msg.reg)) {
@@ -141,80 +140,105 @@ bool NadServer::ServeOpView(const MessageView& msg, FrameWriter* w,
     dropped_crashed_->Inc();
     return false;
   }
-  if (msg.type == MsgType::kWriteReq) {
+  MsgType resp = MsgType::kReadResp;
+  std::string_view value;  // ReadResp only
+  if (msg.type == MsgType::kWriteReq || msg.type == MsgType::kMergeReq) {
     // Write-ahead: a write is journaled before it is acknowledged, so a
     // restart never forgets an acknowledged write. Journal order and
     // apply order agree per register (both under the stripe lock). The
-    // value is a view into the receive buffer the whole way down —
-    // journaled from it, then assigned into the register's existing
-    // string capacity (the one write-path copy).
+    // value (or merge delta) is a view into the receive buffer the whole
+    // way down. A merge journals the POST-merge cell, so replay is a
+    // plain Apply.
+    const auto write_ahead = [&](std::string_view v) {
+      // Stripe lock is held here; journal_mu_ nests inside it (the
+      // documented stripe -> journal order, same as Checkpoint).
+      MutexLock jlock(journal_mu_);
+      if (!journal_.IsOpen()) return true;
+      if (Status s = journal_.Append(msg.reg, v); !s.ok()) {
+        LOG_ERROR << "nad-server: journal append failed: " << s.ToString()
+                  << "; dropping request";
+        return false;
+      }
+      return true;
+    };
+    const bool write = msg.type == MsgType::kWriteReq;
     const bool applied =
-        store_.ApplyOrderedView(msg.reg, msg.value, [&](std::string_view v) {
-          // Stripe lock is held here; journal_mu_ nests inside it (the
-          // documented stripe -> journal order, same as Checkpoint).
-          MutexLock jlock(journal_mu_);
-          if (!journal_.IsOpen()) return true;
-          if (Status s = journal_.Append(msg.reg, v); !s.ok()) {
-            LOG_ERROR << "nad-server: journal append failed: " << s.ToString()
-                      << "; dropping request";
-            return false;
-          }
-          return true;
-        });
+        write ? store_.ApplyOrderedView(msg.reg, msg.value, write_ahead)
+              : store_.MergeOrderedView(msg.reg, msg.value, write_ahead);
     if (!applied) return false;  // unresponsive, like a failing disk
-    hotpath::CountCopy(msg.value.size());  // the store materialized it
-    if (in_batch) {
-      w->PutU32(
-          static_cast<std::uint32_t>(PayloadSize(MsgType::kWriteResp, 0)));
+    if (write) {
+      // The store assigned the value into the register's existing string
+      // capacity: the one write-path copy.
+      hotpath::CountCopy(msg.value.size());
+      writes_served_->Inc();
+    } else {
+      merges_served_->Inc();
     }
-    AppendPayload(*w, MsgType::kWriteResp, msg.request_id, msg.reg, {});
-    writes_served_->Inc();
     write_serve_us_->ObserveSince(serve_start);
-  } else if (msg.type == MsgType::kMergeReq) {
-    // Coded-cell join: the delta stays a view into the receive buffer;
-    // the merged cell is computed and journaled under the stripe lock
-    // (same write-ahead + stripe -> journal order as a plain write, but
-    // the journal records the POST-merge cell so replay is a plain
-    // Apply).
-    const bool applied =
-        store_.MergeOrderedView(msg.reg, msg.value, [&](std::string_view v) {
-          MutexLock jlock(journal_mu_);
-          if (!journal_.IsOpen()) return true;
-          if (Status s = journal_.Append(msg.reg, v); !s.ok()) {
-            LOG_ERROR << "nad-server: journal append failed: " << s.ToString()
-                      << "; dropping request";
-            return false;
-          }
-          return true;
-        });
-    if (!applied) return false;
-    if (in_batch) {
-      w->PutU32(
-          static_cast<std::uint32_t>(PayloadSize(MsgType::kMergeResp, 0)));
-    }
-    AppendPayload(*w, MsgType::kMergeResp, msg.request_id, msg.reg, {});
-    merges_served_->Inc();
-    write_serve_us_->ObserveSince(serve_start);
+    resp = write ? MsgType::kWriteResp : MsgType::kMergeResp;
   } else {
     // Copy the value out of the store into the response arena under the
     // stripe lock (linearization) — the one read-path copy; the response
     // frame references the arena bytes, never a fresh Value.
-    std::string_view value;
     store_.View(msg.reg, [&](const Value& v) {
       hotpath::CountCopy(v.size());
       value = std::string_view(w->arena()->Copy(v.data(), v.size()), v.size());
     });
-    if (in_batch) {
-      w->PutU32(static_cast<std::uint32_t>(
-          PayloadSize(MsgType::kReadResp, value.size())));
-    }
-    AppendPayload(*w, MsgType::kReadResp, msg.request_id, msg.reg, value);
     reads_served_->Inc();
     read_serve_us_->ObserveSince(serve_start);
   }
+  w->BeginFrame();
+  AppendPayload(*w, resp, msg.request_id, msg.reg, value);
+  w->EndFrame();
   served_.fetch_add(1, std::memory_order_relaxed);
   return true;
   // hot-path-end
+}
+
+void NadServer::AppendStats(std::uint64_t request_id, FrameWriter* w) {
+  std::string text = metrics_.ToText();
+  text += "counter nad.server.served " + std::to_string(ServedCount()) + "\n";
+  text += "counter nad.server.recovered " + std::to_string(recovered_) + "\n";
+  // The text dies with this call; the burst's arena outlives the send.
+  const std::string_view copy(w->arena()->Copy(text.data(), text.size()),
+                              text.size());
+  w->BeginFrame();
+  AppendPayload(*w, MsgType::kStatsResp, request_id, {}, copy);
+  w->EndFrame();
+}
+
+bool NadServer::FaultFilter(Rng& rng, bool* drop) {
+  // A stalled daemon HOLDS the burst until the stall elapses.
+  {
+    mu_.Lock();
+    while (!stopping_ && stall_until_ > std::chrono::steady_clock::now()) {
+      const auto until = stall_until_;
+      fault_cv_.WaitUntil(mu_, until, [&] {
+        mu_.AssertHeld();  // CondVar waits run predicates under the lock
+        return stopping_ || stall_until_ < until;  // Heal cleared it
+      });
+    }
+    const bool stop_now = stopping_;
+    mu_.Unlock();
+    if (stop_now) return false;
+  }
+  // A lossy daemon DROPS it.
+  const auto drop_permille = drop_permille_.load(std::memory_order_relaxed);
+  *drop = drop_permille > 0 && rng.Chance(drop_permille, 1000);
+  if (*drop) return true;
+  std::uint64_t min_delay = opts_.min_delay_us;
+  std::uint64_t max_delay = opts_.max_delay_us;
+  if (const auto omax = delay_max_override_.load(std::memory_order_relaxed);
+      omax != kNoDelayOverride) {
+    min_delay = delay_min_override_.load(std::memory_order_relaxed);
+    max_delay = omax;
+  }
+  if (max_delay > 0) {
+    // A burst is one disk request: one vectored operation.
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(rng.Between(min_delay, max_delay)));
+  }
+  return true;
 }
 
 void NadServer::Serve(Socket conn, Rng rng) {
@@ -226,113 +250,66 @@ void NadServer::Serve(Socket conn, Rng rng) {
   // Per-connection serve state (DESIGN.md §14): frames are read through
   // `reader` (one recv can deliver many frames), decoded into views over
   // its buffer, and answered as WireChunks — headers and read values in
-  // `arena`, gathered out with one sendmsg. Arena and chunk list reset
-  // per request frame.
+  // `arena`. A burst is the frame recv blocked for plus every complete
+  // frame already buffered behind it; its responses leave with one
+  // sendmsg, and the arena and chunk list reset per burst.
   FrameReader reader;
   Arena arena;
   std::vector<WireChunk> chunks;
   std::vector<iovec> iov;
   const auto send_chunks = [&conn, &chunks, &iov]() -> bool {
+    if (chunks.empty()) return true;
     iov.clear();
-    iov.reserve(chunks.size());
     for (const WireChunk& c : chunks) {
       iov.push_back(iovec{const_cast<char*>(c.data), c.len});
     }
+    chunks.clear();
     return SendAllVec(conn, iov.data(), iov.size()).ok();
   };
+  FrameWriter w(&arena, &chunks);
+  bool filtered = false;  // the fault filter has run for this burst
+  bool drop = false;      // ... and dropped it
+  std::size_t burst_ops = 0;
   for (;;) {
-    arena.Reset();
-    chunks.clear();
     auto payload = reader.Next(conn, kMaxFrameBytes);
     if (!payload) break;  // closed or malformed length
-    auto msg = DecodeMessageView(*payload, &arena);
+    // hot-path-begin(server-serve)
+    auto msg = DecodeMessageView(*payload);
     if (!msg) {
       LOG_WARN << "nad-server: dropping malformed request: "
                << msg.status().ToString();
-      continue;
-    }
-    if (msg->type == MsgType::kStatsReq) {
-      // Out-of-band observability: answered immediately (no artificial
-      // delay, no crash check — STATS is not a disk operation).
-      Message resp;
-      resp.request_id = msg->request_id;
-      resp.type = MsgType::kStatsResp;
-      std::string text = metrics_.ToText();
-      text += "counter nad.server.served " + std::to_string(ServedCount()) +
-              "\n";
-      text += "counter nad.server.recovered " + std::to_string(recovered_) +
-              "\n";
-      resp.value = std::move(text);
-      if (!SendFrame(conn, EncodeMessage(resp)).ok()) break;
-      continue;
-    }
-    if (msg->type != MsgType::kReadReq && msg->type != MsgType::kWriteReq &&
-        msg->type != MsgType::kMergeReq && msg->type != MsgType::kBatchReq) {
+    } else if (msg->type == MsgType::kStatsReq) {
+      // Out-of-band observability: no fault filter, no crash check —
+      // STATS is not a disk operation.
+      AppendStats(msg->request_id, &w);
+    } else if (msg->type != MsgType::kReadReq &&
+               msg->type != MsgType::kWriteReq &&
+               msg->type != MsgType::kMergeReq) {
       LOG_WARN << "nad-server: dropping non-request message";
-      continue;
-    }
-    // Fault filter (before ServeOp): a stalled daemon HOLDS the request
-    // until the stall elapses; a lossy daemon DROPS it. STATS is exempt —
-    // it is observability, not a disk operation.
-    {
-      mu_.Lock();
-      while (!stopping_ &&
-             stall_until_ > std::chrono::steady_clock::now()) {
-        const auto until = stall_until_;
-        fault_cv_.WaitUntil(mu_, until, [&] {
-          mu_.AssertHeld();  // CondVar waits run predicates under the lock
-          return stopping_ || stall_until_ < until;  // Heal cleared it
-        });
+    } else {
+      if (!filtered) {
+        // Fault filter, once per burst before its first disk op. STATS
+        // answers already queued leave first: a stall must not hold them.
+        filtered = true;
+        if (!send_chunks() || !FaultFilter(rng, &drop)) break;
       }
-      const bool stop_now = stopping_;
-      mu_.Unlock();
-      if (stop_now) break;
-    }
-    if (const auto drop = drop_permille_.load(std::memory_order_relaxed);
-        drop > 0 && rng.Chance(drop, 1000)) {
-      dropped_faulted_->Inc();
-      continue;
-    }
-    std::uint64_t min_delay = opts_.min_delay_us;
-    std::uint64_t max_delay = opts_.max_delay_us;
-    if (const auto omax = delay_max_override_.load(std::memory_order_relaxed);
-        omax != kNoDelayOverride) {
-      min_delay = delay_min_override_.load(std::memory_order_relaxed);
-      max_delay = omax;
-    }
-    if (max_delay > 0) {
-      // One frame = one disk request; a batch is one vectored operation.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(rng.Between(min_delay, max_delay)));
-    }
-    // hot-path-begin(server-serve)
-    if (msg->type == MsgType::kBatchReq) {
-      batch_size_->Observe(msg->num_subs);
-      FrameWriter w(&arena, &chunks);
-      w.BeginFrame();
-      w.PutU8(static_cast<std::uint8_t>(MsgType::kBatchResp));
-      w.PutU64(0);
-      // The survivor count is known only after serving (a crashed
-      // register omits its sub-response): reserve the slot, patch later.
-      char* count_slot = w.PutSlotU32();
-      std::uint32_t survivors = 0;
-      for (std::uint32_t i = 0; i < msg->num_subs; ++i) {
-        // A crashed register omits its sub-response; the others answer.
-        if (ServeOpView(msg->subs[i], &w, /*in_batch=*/true)) ++survivors;
+      if (drop) {
+        dropped_faulted_->Inc();
+      } else {
+        // A crashed register omits its response; its neighbours answer.
+        ServeOpView(*msg, &w);
+        ++burst_ops;
       }
-      w.EndFrame();
-      // Every sub-operation crashed: stay silent, like the per-op path.
-      if (survivors == 0) continue;
-      FrameWriter::Patch32(count_slot, survivors);
-      if (!send_chunks()) break;
-      continue;
     }
-    FrameWriter w(&arena, &chunks);
-    w.BeginFrame();
-    const bool answered = ServeOpView(*msg, &w, /*in_batch=*/false);
-    w.EndFrame();
-    if (!answered) continue;
+    // The burst goes on while complete frames are already buffered, up
+    // to about a frame's worth of response bytes.
+    if (reader.HasFrame() && arena.bytes_used() < kMaxFrameBytes) continue;
+    if (burst_ops > 0) batch_size_->Observe(burst_ops);
+    // A burst whose every op was swallowed stays silent.
     if (!send_chunks()) break;
+    arena.Reset();
+    filtered = drop = false;
+    burst_ops = 0;
     // hot-path-end
   }
   MutexLock lock(mu_);

@@ -8,24 +8,29 @@
 /// register or disk silently stops answering (unresponsive mode) — the
 /// request is swallowed, never errored.
 ///
+/// Bursts: every frame carries one operation (protocol.h), and batching
+/// is a syscall property. The serve loop blocks for one frame, then takes
+/// every complete frame already buffered behind it (FrameReader::
+/// HasFrame) — a *burst* — and answers them in FIFO order with one
+/// sendmsg. A crashed register's response is simply omitted from the
+/// burst while its neighbours answer; a burst whose every op is swallowed
+/// sends nothing. "nad.server.batch_size" counts the ops of each burst.
+///
 /// Fault injection: the daemon is a faults::FaultSink, so a FaultInjector
 /// can drive it like a simulated farm. The crash faults delegate to the
 /// store (permanent, the paper's model); the transport faults are a
-/// *fault filter* applied per request frame before ServeOp — a stalled
-/// daemon holds requests until the stall elapses, a lossy daemon drops
-/// each frame with the configured probability, DisconnectDisk severs all
+/// *fault filter* applied once per burst before its first disk op — a
+/// stalled daemon holds the burst until the stall elapses, a lossy daemon
+/// drops each burst with the configured probability, DisconnectDisk severs all
 /// established connections (the daemon keeps listening, so reconnecting
 /// clients recover), and Heal clears every recoverable fault. One daemon
 /// is one fault domain: the DiskId arguments of the transport faults are
-/// ignored.
+/// ignored. STATS is exempt from the filter: it is observability, not a
+/// disk operation.
 ///
 /// Concurrency: register state lives in a sim::ShardedRegisterStore with
 /// striped per-register locking, so connections serving distinct registers
-/// never contend on a global lock. The kBatchReq opcode is served
-/// vectored: every sub-operation of the batch is executed in order and the
-/// surviving sub-responses come back in one kBatchResp frame — a crashed
-/// register's sub-response is silently omitted, preserving per-register
-/// unresponsiveness inside a batch. Lock order (DESIGN.md §12): stripe
+/// never contend on a global lock. Lock order (DESIGN.md §12): stripe
 /// locks before journal_mu_; mu_ (connection bookkeeping, stall state)
 /// nests with neither.
 ///
@@ -36,9 +41,8 @@
 /// with one sendmsg — write values are journaled and applied straight from
 /// the receive buffer; a read's value is copied exactly once, out of the
 /// store into the response arena under the stripe lock. The arena and the
-/// chunk list reset per request frame. Because a batch's crashed registers
-/// omit their sub-responses, the survivor count is backpatched into the
-/// response frame after serving (PutSlotU32/Patch32).
+/// chunk list reset per burst; a burst ends early once its responses
+/// reach about kMaxFrameBytes, which bounds the arena.
 #pragma once
 
 #include <atomic>
@@ -66,8 +70,8 @@ class NadServer : public faults::FaultSink {
     std::uint16_t port = 0;  // 0: ephemeral, see port()
     std::string host = "127.0.0.1";  // bind address ("0.0.0.0" for all)
     std::uint64_t seed = 0x5eed;
-    /// Artificial per-request service delay range (microseconds). A batch
-    /// frame counts as one request — it is one vectored disk operation.
+    /// Artificial per-request service delay range (microseconds). A burst
+    /// counts as one request — it is one vectored disk operation.
     std::uint64_t min_delay_us = 0;
     std::uint64_t max_delay_us = 0;
     /// Durability: when non-empty, applied writes are journaled to
@@ -93,7 +97,7 @@ class NadServer : public faults::FaultSink {
   void CrashDisk(DiskId d) override;
   /// Runtime per-request service-delay override (replaces Options' range).
   void DelayDisk(DiskId d, std::uint64_t min_us, std::uint64_t max_us) override;
-  /// Drops each incoming request frame with probability permille/1000.
+  /// Drops each incoming burst with probability permille/1000.
   void DropRequests(DiskId d, std::uint32_t permille) override;
   /// Severs every established connection; keeps listening (recoverable).
   void DisconnectDisk(DiskId d) override;
@@ -102,8 +106,7 @@ class NadServer : public faults::FaultSink {
   /// Clears delay override, drop rate, and stall (crashes persist).
   void Heal(DiskId d) override;
 
-  /// Requests served (responses actually sent); a batch counts each of
-  /// its sub-operations.
+  /// Requests served (responses actually sent), one per op.
   std::uint64_t ServedCount() const;
 
   /// This server's metrics (request counts, per-opcode service latency).
@@ -126,11 +129,16 @@ class NadServer : public faults::FaultSink {
 
   void AcceptLoop();
   void Serve(Socket conn, Rng rng);
-  /// Serves one read/write sub-operation against the sharded store,
-  /// appending the response payload to `w` (prefixed with its u32
-  /// sub-length when `in_batch`). Returns false when the request is
-  /// swallowed (crashed register or journal failure) — nothing appended.
-  bool ServeOpView(const MessageView& msg, FrameWriter* w, bool in_batch);
+  /// Serves one read/write/merge against the sharded store, appending its
+  /// response frame to `w`. Returns false when the request is swallowed
+  /// (crashed register or journal failure) — nothing appended.
+  bool ServeOpView(const MessageView& msg, FrameWriter* w);
+  /// Appends a STATS response frame (the metrics dump) to `w`.
+  void AppendStats(std::uint64_t request_id, FrameWriter* w);
+  /// The transport fault filter, run once per burst: holds while stalled,
+  /// sets `*drop` on a lossy roll, sleeps the service delay otherwise.
+  /// Returns false when the server is stopping.
+  bool FaultFilter(Rng& rng, bool* drop);
 
   // All three are written in Start() before any server thread exists and
   // are read-only afterwards (Listener::Shutdown on a live fd is the one
@@ -150,7 +158,7 @@ class NadServer : public faults::FaultSink {
   std::size_t recovered_ = 0;
 
   // Fault filter state (see the file comment). The delay override and
-  // drop rate are read per request frame, so they are lock-free atomics;
+  // drop rate are read per burst, so they are lock-free atomics;
   // kNoDelayOverride means "use Options' range".
   static constexpr std::uint64_t kNoDelayOverride = ~0ULL;
   std::atomic<std::uint64_t> delay_min_override_{kNoDelayOverride};

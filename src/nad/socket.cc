@@ -181,19 +181,11 @@ Status SendAll(const Socket& sock, std::string_view data) {
 }
 
 Status SendFrame(const Socket& sock, std::string_view payload) {
-  std::string frame;
-  AppendFrame(&frame, payload);
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  std::string frame(4, '\0');
+  std::memcpy(frame.data(), &len, 4);
+  frame.append(payload);
   return SendAll(sock, frame);
-}
-
-void AppendFrame(std::string* wire, std::string_view payload) {
-  hotpath::CountCopy(payload.size());
-  std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  char hdr[4];
-  std::memcpy(hdr, &len, 4);
-  wire->reserve(wire->size() + 4 + payload.size());
-  wire->append(hdr, 4);
-  wire->append(payload);
 }
 
 namespace {
@@ -282,13 +274,21 @@ Expected<std::string_view> FrameReader::Next(const Socket& sock,
   }
 }
 
+bool FrameReader::HasFrame() const {
+  const std::size_t buffered = buf_.Size() - consumed_next_;
+  if (buffered < 4) return false;
+  std::uint32_t len = 0;
+  std::memcpy(&len, buf_.Head() + consumed_next_, 4);
+  return buffered - 4 >= len;
+}
+
 Status SendAllVec(const Socket& sock, iovec* iov, std::size_t iov_count) {
   std::size_t first = 0;
   while (first < iov_count) {
     msghdr msg{};
     msg.msg_iov = iov + first;
-    // IOV_MAX-safe: a huge batch response simply takes several sendmsg
-    // calls.
+    // IOV_MAX-safe: a huge burst of responses simply takes several
+    // sendmsg calls.
     msg.msg_iovlen = std::min<std::size_t>(iov_count - first, 1024);
     const ssize_t n = ::sendmsg(sock.fd(), &msg, MSG_NOSIGNAL);
     if (n < 0) {

@@ -100,11 +100,6 @@ Status SendAll(const Socket& sock, std::string_view data);
 /// Sends one [u32 length][payload] frame.
 Status SendFrame(const Socket& sock, std::string_view payload);
 
-/// Appends one [u32 length][payload] frame to `wire` without sending —
-/// lets a sender gather many frames into a single buffer and flush them
-/// with one SendAll (one syscall per drain pass, not one per frame).
-void AppendFrame(std::string* wire, std::string_view payload);
-
 /// Receives one frame; kUnavailable on clean close or error, kInvalid if
 /// the advertised length exceeds `max_bytes`.
 Expected<std::string> RecvFrame(const Socket& sock, std::uint32_t max_bytes);
@@ -154,6 +149,10 @@ class RxBuffer {
 class FrameReader {
  public:
   Expected<std::string_view> Next(const Socket& sock, std::uint32_t max_bytes);
+  /// True when a complete frame beyond the one Next last returned is
+  /// already buffered, so the next Next call returns it without touching
+  /// the socket. Never blocks; this is how the server sizes a burst.
+  bool HasFrame() const;
 
  private:
   RxBuffer buf_;

@@ -87,7 +87,7 @@ class RegisterStore {
 /// one, the checkpoint quiesce takes all of them ascending — and any
 /// caller-owned lock (the server's journal mutex, inside ApplyOrdered's
 /// write_ahead callback and after QuiesceGuard) nests strictly inside /
-/// after the stripes. A batch apply (stripe i) can therefore never
+/// after the stripes. A write apply (stripe i) can therefore never
 /// deadlock against a checkpoint quiesce (stripes 0..k ascending): both
 /// sides acquire stripes in the same global order.
 class ShardedRegisterStore {

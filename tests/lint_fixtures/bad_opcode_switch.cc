@@ -10,7 +10,7 @@ inline bool BadIsRequest(MsgType t) {
   switch (t) {  // lint-expect(opcode-switch)
     case MsgType::kReadReq:
     case MsgType::kWriteReq:
-    case MsgType::kBatchReq:
+    case MsgType::kMergeReq:
       return true;
     default:
       return false;

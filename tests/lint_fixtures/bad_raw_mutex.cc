@@ -1,5 +1,5 @@
 // lint-path: src/nad/bad_raw_mutex.cc
-// Known-bad fixture for scripts/lint_invariants.py: raw std:: sync
+// Known-bad fixture for nadlint (scripts/nadlint/): raw std:: sync
 // primitives outside src/common/. Never compiled; the linter self-test
 // asserts every lint-expect line below is flagged.
 #include <mutex>

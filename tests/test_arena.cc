@@ -112,13 +112,6 @@ TEST(Arena, ResetRetainsModeratelyOversizedSlabs) {
   EXPECT_EQ(arena.Alloc(4096, 1), big);  // same dedicated slab, warm
 }
 
-TEST(Arena, AllocArrayValueInitializes) {
-  Arena arena;
-  int* arr = arena.AllocArray<int>(64);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(arr[i], 0) << i;
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(arr) % alignof(int), 0u);
-}
-
 TEST(Arena, StatsTrackUsageAndHighWater) {
   Arena arena;
   EXPECT_EQ(arena.bytes_used(), 0u);

@@ -112,8 +112,8 @@ TEST(ChaosSmoke, ClientReconnectsAfterServerRestart) {
   ASSERT_TRUE(first.ok());
   const std::uint16_t port = (*first)->port();
 
-  std::map<DiskId, nad::NadClient::Endpoint> eps;
-  eps[0] = nad::NadClient::Endpoint{"127.0.0.1", port};
+  std::map<DiskId, nad::Endpoint> eps;
+  eps[0] = nad::Endpoint{"127.0.0.1", port};
   auto client = nad::NadClient::Connect(eps);  // reconnect on by default
   ASSERT_TRUE(client.ok());
 

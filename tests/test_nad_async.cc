@@ -38,12 +38,12 @@ struct Cluster {
     return c;
   }
 
-  std::map<DiskId, NadClient::Endpoint> StartServers(std::uint32_t disks) {
-    std::map<DiskId, NadClient::Endpoint> endpoints;
+  std::map<DiskId, Endpoint> StartServers(std::uint32_t disks) {
+    std::map<DiskId, Endpoint> endpoints;
     for (DiskId d = 0; d < disks; ++d) {
       auto server = NadServer::Start({});
       EXPECT_TRUE(server.ok()) << server.status().ToString();
-      endpoints[d] = NadClient::Endpoint{"127.0.0.1", (*server)->port()};
+      endpoints[d] = Endpoint{"127.0.0.1", (*server)->port()};
       servers.push_back(std::move(*server));
     }
     return endpoints;
@@ -115,8 +115,8 @@ TEST(NadAsync, SubmitMixedBatchCompletes) {
   std::string stats_text;
   std::vector<NadClient::Op> ops;
   ops.push_back(NadClient::Op::Write(RegisterId{0, 7}, "mixed", [&] {
-    // The write and the read target the same register and ride the same
-    // batch frame; the server serves sub-ops in order, so the read
+    // The write and the read target the same register and leave in the
+    // same writev; the server serves frames in order, so the read
     // observes the write.
     w.Done();
   }));
@@ -151,7 +151,7 @@ TEST(NadAsync, StatsViaSubmitSharesPendingPath) {
     if (s.ok()) std::this_thread::sleep_for(2s);
   });
   auto client = NadClient::Connect(
-      {{0, NadClient::Endpoint{"127.0.0.1", listener->port()}}});
+      {{0, Endpoint{"127.0.0.1", listener->port()}}});
   ASSERT_TRUE(client.ok());
   Waiter w;
   Status got = Status::Ok();
@@ -193,7 +193,7 @@ TEST(NadAsync, StatsWhileLinkDownFailsUnavailable) {
   NadClient::Options opts;
   opts.retry.breaker_threshold = 1;  // first failed redial → suspected
   auto client = NadClient::Connect(
-      {{0, NadClient::Endpoint{"127.0.0.1", (*server)->port()}}}, opts);
+      {{0, Endpoint{"127.0.0.1", (*server)->port()}}}, opts);
   ASSERT_TRUE(client.ok());
   (*server)->Stop();
   // Suspicion (published on the first failed redial) is proof the loop

@@ -1,11 +1,14 @@
 // Unit tests for the NAD wire protocol: roundtrips of all message
-// types, rejection of malformed payloads, fuzz totality — and the
-// zero-copy surface (FrameWriter / DecodeMessageView) checked
-// byte-for-byte against the materializing EncodeMessage/DecodeMessage
-// golden pair.
+// types, runs of per-op frames (what one writev or one server burst
+// carries), rejection of malformed payloads and of the retired batch
+// type codes, fuzz totality — and the zero-copy surface (FrameWriter /
+// DecodeMessageView / FrameReader) checked byte-for-byte against the
+// materializing EncodeMessage/DecodeMessage golden pair.
 #include "nad/protocol.h"
 
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
 
 #include <cstring>
 #include <utility>
@@ -15,6 +18,96 @@
 
 namespace nadreg::nad {
 namespace {
+
+Message MakeRead(std::uint64_t id, DiskId d, BlockId b) {
+  Message m;
+  m.type = MsgType::kReadReq;
+  m.request_id = id;
+  m.reg = RegisterId{d, b};
+  return m;
+}
+
+Message MakeWrite(std::uint64_t id, DiskId d, BlockId b, std::string v) {
+  Message m;
+  m.type = MsgType::kWriteReq;
+  m.request_id = id;
+  m.reg = RegisterId{d, b};
+  m.value = std::move(v);
+  return m;
+}
+
+Message MakeResp(MsgType t, std::uint64_t id, std::string v = {}) {
+  Message m;
+  m.type = t;
+  m.request_id = id;
+  m.value = std::move(v);
+  return m;
+}
+
+std::string Flatten(const std::vector<WireChunk>& chunks) {
+  std::string out;
+  for (const WireChunk& c : chunks) out.append(c.data, c.len);
+  return out;
+}
+
+// [u32 little-endian length][payload] — what a framed message looks like
+// on the wire (matches SendFrame / the writer's length prefix).
+std::string FramePrefix(std::string_view payload) {
+  std::string f;
+  for (int i = 0; i < 4; ++i) {
+    f.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xff));
+  }
+  f.append(payload);
+  return f;
+}
+
+// Frames `msgs` back to back through one FrameWriter — exactly what the
+// client's admission pass queues for one writev, or a server burst for
+// one sendmsg.
+std::string FrameRun(const std::vector<Message>& msgs) {
+  Arena arena;
+  std::vector<WireChunk> chunks;
+  FrameWriter w(&arena, &chunks);
+  for (const Message& m : msgs) {
+    w.BeginFrame();
+    AppendPayload(w, m.type, m.request_id, m.reg, m.value);
+    w.EndFrame();
+  }
+  return Flatten(chunks);
+}
+
+// Splits a run of frames at their length prefixes and decodes each with
+// the golden decoder; fails the test on a torn or undecodable frame.
+std::vector<Message> DecodeRun(std::string_view wire) {
+  std::vector<Message> out;
+  while (!wire.empty()) {
+    std::uint32_t len = 0;
+    EXPECT_GE(wire.size(), 4u);
+    if (wire.size() < 4) break;
+    std::memcpy(&len, wire.data(), 4);
+    EXPECT_GE(wire.size() - 4, len);
+    if (wire.size() - 4 < len) break;
+    auto m = DecodeMessage(wire.substr(4, len));
+    EXPECT_TRUE(m.ok()) << m.status().ToString();
+    if (!m.ok()) break;
+    out.push_back(std::move(*m));
+    wire.remove_prefix(4 + len);
+  }
+  return out;
+}
+
+// A payload under one of the retired batch type codes (7, 8): a count and
+// one ReadReq sub, as the old batch frame laid them out.
+std::string RetiredBatchPayload(std::uint8_t type) {
+  std::string p(1, static_cast<char>(type));
+  p.append(8, '\0');                  // request id
+  p.append("\x01\0\0\0", 4);         // count = 1
+  const std::string sub = EncodeMessage(MakeRead(1, 0, 0));
+  const auto len = static_cast<std::uint32_t>(sub.size());
+  p.append(reinterpret_cast<const char*>(&len), 4);
+  p.append(sub);
+  return p;
+}
 
 TEST(Protocol, ReadReqRoundtrip) {
   Message m;
@@ -77,32 +170,20 @@ TEST(Protocol, MergeRespRoundtrip) {
 }
 
 TEST(Protocol, MergeIsBatchable) {
-  Message batch;
-  batch.type = MsgType::kBatchReq;
+  // Merges batch like writes: a merge frame rides in the same run of
+  // per-op frames as its neighbours (one writev), and a server burst
+  // answers it in the same run as theirs (one sendmsg).
   Message merge;
   merge.type = MsgType::kMergeReq;
   merge.request_id = 4;
   merge.reg = RegisterId{1, 2};
   merge.value = "delta bytes";
-  Message read;
-  read.type = MsgType::kReadReq;
-  read.request_id = 1;
-  read.reg = RegisterId{0, 7};
-  batch.subs.push_back(read);
-  batch.subs.push_back(merge);
-  auto decoded = DecodeMessage(EncodeMessage(batch));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(*decoded, batch);
-
-  Message resp;
-  resp.type = MsgType::kBatchResp;
-  Message mr;
-  mr.type = MsgType::kMergeResp;
-  mr.request_id = 4;
-  resp.subs = {mr};
-  auto decoded_resp = DecodeMessage(EncodeMessage(resp));
-  ASSERT_TRUE(decoded_resp.ok());
-  EXPECT_EQ(*decoded_resp, resp);
+  const std::vector<Message> reqs = {MakeRead(1, 0, 7), merge};
+  EXPECT_EQ(DecodeRun(FrameRun(reqs)), reqs);
+  const std::vector<Message> resps = {
+      MakeResp(MsgType::kReadResp, 1, "block"),
+      MakeResp(MsgType::kMergeResp, 4)};
+  EXPECT_EQ(DecodeRun(FrameRun(resps)), resps);
 }
 
 TEST(Protocol, UnknownTypeRejected) {
@@ -111,6 +192,12 @@ TEST(Protocol, UnknownTypeRejected) {
   EXPECT_FALSE(DecodeMessage(payload).ok());
   payload[0] = 0;
   EXPECT_FALSE(DecodeMessage(payload).ok());
+  // The retired batch codes are unknown types too, to both decoders.
+  for (const std::uint8_t retired : {7, 8}) {
+    const std::string batch = RetiredBatchPayload(retired);
+    EXPECT_FALSE(DecodeMessage(batch).ok()) << int{retired};
+    EXPECT_FALSE(DecodeMessageView(batch).ok()) << int{retired};
+  }
 }
 
 TEST(Protocol, TruncationRejected) {
@@ -132,142 +219,56 @@ TEST(Protocol, TrailingBytesRejected) {
   EXPECT_FALSE(DecodeMessage(payload).ok());
 }
 
-Message MakeRead(std::uint64_t id, DiskId d, BlockId b) {
-  Message m;
-  m.type = MsgType::kReadReq;
-  m.request_id = id;
-  m.reg = RegisterId{d, b};
-  return m;
-}
-
-Message MakeWrite(std::uint64_t id, DiskId d, BlockId b, std::string v) {
-  Message m;
-  m.type = MsgType::kWriteReq;
-  m.request_id = id;
-  m.reg = RegisterId{d, b};
-  m.value = std::move(v);
-  return m;
-}
-
 TEST(Protocol, BatchReqRoundtrip) {
-  Message batch;
-  batch.type = MsgType::kBatchReq;
-  batch.subs.push_back(MakeRead(1, 0, 7));
-  batch.subs.push_back(MakeWrite(2, 3, 9, std::string("mixed\0payload", 13)));
-  batch.subs.push_back(MakeRead(3, 2, 0));
-  auto decoded = DecodeMessage(EncodeMessage(batch));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(*decoded, batch);
+  // A batch is a run of per-op frames written with one writev: every
+  // request type, FIFO, each frame decoding on its own.
+  Message stats;
+  stats.type = MsgType::kStatsReq;
+  stats.request_id = 4;
+  const std::vector<Message> batch = {
+      MakeRead(1, 0, 7), MakeWrite(2, 3, 9, std::string("mixed\0payload", 13)),
+      MakeRead(3, 2, 0), stats};
+  EXPECT_EQ(DecodeRun(FrameRun(batch)), batch);
 }
 
 TEST(Protocol, BatchRespRoundtrip) {
-  Message batch;
-  batch.type = MsgType::kBatchResp;
-  Message r1;
-  r1.type = MsgType::kReadResp;
-  r1.request_id = 11;
-  r1.value = "block contents";
-  Message r2;
-  r2.type = MsgType::kWriteResp;
-  r2.request_id = 12;
-  batch.subs = {r1, r2};
-  auto decoded = DecodeMessage(EncodeMessage(batch));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, batch);
-}
-
-TEST(Protocol, EmptyBatchRoundtrips) {
-  Message batch;
-  batch.type = MsgType::kBatchReq;
-  auto decoded = DecodeMessage(EncodeMessage(batch));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->subs.empty());
-}
-
-TEST(Protocol, BatchRejectsWrongSubTypes) {
-  // A response inside a request batch.
-  Message batch;
-  batch.type = MsgType::kBatchReq;
-  Message resp;
-  resp.type = MsgType::kReadResp;
-  resp.request_id = 1;
-  batch.subs = {resp};
-  EXPECT_FALSE(DecodeMessage(EncodeMessage(batch)).ok());
-  // A request inside a response batch.
-  batch.type = MsgType::kBatchResp;
-  batch.subs = {MakeRead(1, 0, 0)};
-  EXPECT_FALSE(DecodeMessage(EncodeMessage(batch)).ok());
-  // STATS never rides in a batch.
-  Message stats;
-  stats.type = MsgType::kStatsReq;
-  batch.type = MsgType::kBatchReq;
-  batch.subs = {stats};
-  EXPECT_FALSE(DecodeMessage(EncodeMessage(batch)).ok());
-}
-
-TEST(Protocol, NestedBatchRejected) {
-  Message inner;
-  inner.type = MsgType::kBatchReq;
-  inner.subs.push_back(MakeRead(1, 0, 0));
-  Message outer;
-  outer.type = MsgType::kBatchReq;
-  outer.subs.push_back(inner);
-  EXPECT_FALSE(DecodeMessage(EncodeMessage(outer)).ok());
-}
-
-TEST(Protocol, BatchTruncationRejectedAtEveryCut) {
-  Message batch;
-  batch.type = MsgType::kBatchReq;
-  batch.subs.push_back(MakeWrite(5, 1, 2, "vv"));
-  batch.subs.push_back(MakeRead(6, 0, 3));
-  std::string payload = EncodeMessage(batch);
-  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
-    EXPECT_FALSE(DecodeMessage(payload.substr(0, cut)).ok()) << "cut " << cut;
-  }
-}
-
-TEST(Protocol, BatchHostileCountRejected) {
-  // A count far beyond what the payload can carry must fail cleanly
-  // (never over-reserve, never read past the end).
-  Message batch;
-  batch.type = MsgType::kBatchReq;
-  batch.subs.push_back(MakeRead(1, 0, 0));
-  std::string payload = EncodeMessage(batch);
-  // Count field sits right after type (1) + request id (8).
-  payload[9] = '\xff';
-  payload[10] = '\xff';
-  payload[11] = '\xff';
-  payload[12] = '\xff';
-  EXPECT_FALSE(DecodeMessage(payload).ok());
+  const std::vector<Message> batch = {
+      MakeResp(MsgType::kReadResp, 11, "block contents"),
+      MakeResp(MsgType::kWriteResp, 12),
+      MakeResp(MsgType::kStatsResp, 13, "metrics dump")};
+  EXPECT_EQ(DecodeRun(FrameRun(batch)), batch);
 }
 
 TEST(Protocol, BatchFuzzDecodeIsTotalAndCanonical) {
   Rng rng(4242);
   for (int i = 0; i < 2000; ++i) {
-    // Start from a valid batch, then flip random bytes: decode must stay
-    // total, and anything accepted must re-encode identically.
-    Message batch;
-    batch.type = rng.Below(2) == 0 ? MsgType::kBatchReq : MsgType::kBatchResp;
-    const std::size_t n = rng.Below(4);
-    for (std::size_t j = 0; j < n; ++j) {
-      Message sub;
-      if (batch.type == MsgType::kBatchReq) {
-        sub = rng.Below(2) == 0 ? MakeRead(j, 0, j) : MakeWrite(j, 1, j, "x");
-      } else {
-        sub.type = rng.Below(2) == 0 ? MsgType::kReadResp : MsgType::kWriteResp;
-        sub.request_id = j;
-        if (sub.type == MsgType::kReadResp) sub.value = "y";
-      }
-      batch.subs.push_back(std::move(sub));
+    // Start from a valid per-op frame of a batch, then flip random bytes
+    // (the type byte included, so retired and unknown codes come up):
+    // decode must stay total, and anything accepted must re-encode
+    // identically.
+    Message m;
+    switch (rng.Below(4)) {
+      case 0:
+        m = MakeRead(i, 0, i);
+        break;
+      case 1:
+        m = MakeWrite(i, 1, i, "x");
+        break;
+      case 2:
+        m = MakeResp(MsgType::kReadResp, i, "y");
+        break;
+      default:
+        m = MakeResp(MsgType::kWriteResp, i);
+        break;
     }
-    std::string payload = EncodeMessage(batch);
+    std::string payload = EncodeMessage(m);
     const std::size_t flips = 1 + rng.Below(4);
-    for (std::size_t f = 0; f < flips && !payload.empty(); ++f) {
+    for (std::size_t f = 0; f < flips; ++f) {
       payload[rng.Below(payload.size())] = static_cast<char>(rng.Below(256));
     }
-    auto m = DecodeMessage(payload);
-    if (m.ok()) {
-      EXPECT_EQ(EncodeMessage(*m), payload);
+    auto decoded = DecodeMessage(payload);
+    if (decoded.ok()) {
+      EXPECT_EQ(EncodeMessage(*decoded), payload);
     }
   }
 }
@@ -313,32 +314,11 @@ TEST(Protocol, FuzzDecodeIsTotal) {
 // Zero-copy surface: FrameWriter / DecodeMessageView vs the golden pair.
 // ---------------------------------------------------------------------------
 
-std::string Flatten(const std::vector<WireChunk>& chunks) {
-  std::string out;
-  for (const WireChunk& c : chunks) out.append(c.data, c.len);
-  return out;
-}
-
-// [u32 little-endian length][payload] — what a framed message looks like
-// on the wire (matches AppendFrame / the writer's length prefix).
-std::string FramePrefix(std::string_view payload) {
-  std::string f;
-  for (int i = 0; i < 4; ++i) {
-    f.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xff));
-  }
-  f.append(payload);
-  return f;
-}
-
 void ExpectViewEquals(const MessageView& v, const Message& m) {
   EXPECT_EQ(v.type, m.type);
   EXPECT_EQ(v.request_id, m.request_id);
   EXPECT_EQ(v.reg, m.reg);
   EXPECT_EQ(v.value, std::string_view(m.value));
-  ASSERT_EQ(v.num_subs, m.subs.size());
-  for (std::uint32_t i = 0; i < v.num_subs; ++i) {
-    ExpectViewEquals(v.subs[i], m.subs[i]);
-  }
 }
 
 TEST(FrameWriter, MatchesEncodeMessageForEveryNonBatchType) {
@@ -385,65 +365,41 @@ TEST(FrameWriter, MatchesEncodeMessageForEveryNonBatchType) {
     const std::string golden = EncodeMessage(m);
     EXPECT_EQ(payload_len, golden.size());
     EXPECT_EQ(payload_len, EncodedMessageSize(m));
-    EXPECT_EQ(payload_len, PayloadSize(m.type, m.value.size()));
     EXPECT_EQ(Flatten(chunks), FramePrefix(golden))
         << "type " << static_cast<int>(m.type);
   }
 }
 
 TEST(FrameWriter, BatchCompositionMatchesEncodeMessage) {
-  Message batch;
-  batch.type = MsgType::kBatchReq;
-  batch.subs.push_back(MakeRead(1, 0, 7));
-  batch.subs.push_back(MakeWrite(2, 3, 9, std::string("mixed\0payload", 13)));
-  batch.subs.push_back(MakeRead(3, 2, 0));
-
-  // Compose the batch the way the client's FlushRun does: batch header,
-  // then per sub a u32 payload-size prefix + the sub's payload.
+  // The client's admission pass: several per-op frames through one
+  // writer. The bytes are the golden frames end to end, and the reads'
+  // headers — contiguous in the arena — share one chunk (one iovec).
+  const std::vector<Message> batch = {MakeRead(1, 0, 7), MakeRead(2, 3, 9),
+                                      MakeRead(3, 2, 0)};
   Arena arena;
   std::vector<WireChunk> chunks;
   FrameWriter w(&arena, &chunks);
-  w.BeginFrame();
-  w.PutU8(static_cast<std::uint8_t>(MsgType::kBatchReq));
-  w.PutU64(0);
-  w.PutU32(static_cast<std::uint32_t>(batch.subs.size()));
-  for (const Message& sub : batch.subs) {
-    w.PutU32(
-        static_cast<std::uint32_t>(PayloadSize(sub.type, sub.value.size())));
-    AppendPayload(w, sub.type, sub.request_id, sub.reg, sub.value);
+  std::string golden;
+  for (const Message& m : batch) {
+    w.BeginFrame();
+    AppendPayload(w, m.type, m.request_id, m.reg, m.value);
+    w.EndFrame();
+    golden += FramePrefix(EncodeMessage(m));
   }
-  w.EndFrame();
-  EXPECT_EQ(Flatten(chunks), FramePrefix(EncodeMessage(batch)));
-}
-
-TEST(FrameWriter, PutSlotU32BackpatchMatchesEagerCount) {
-  // The server does not know a batch's surviving-sub count until it has
-  // served every sub: the count is a reserved slot patched afterwards.
-  Message batch;
-  batch.type = MsgType::kBatchResp;
-  Message r;
-  r.type = MsgType::kReadResp;
-  r.request_id = 11;
-  r.value = "block contents";
-  batch.subs = {r};
-
-  Arena arena;
-  std::vector<WireChunk> chunks;
-  FrameWriter w(&arena, &chunks);
+  EXPECT_EQ(Flatten(chunks), golden);
+  EXPECT_EQ(chunks.size(), 1u);
+  // A referenced value splits the run: header, value, next header.
+  const std::string value(64, 'v');
   w.BeginFrame();
-  w.PutU8(static_cast<std::uint8_t>(MsgType::kBatchResp));
-  w.PutU64(0);
-  char* slot = w.PutSlotU32();
-  std::uint32_t served = 0;
-  for (const Message& sub : batch.subs) {
-    w.PutU32(
-        static_cast<std::uint32_t>(PayloadSize(sub.type, sub.value.size())));
-    AppendPayload(w, sub.type, sub.request_id, sub.reg, sub.value);
-    ++served;
-  }
+  AppendPayload(w, MsgType::kWriteReq, 4, RegisterId{0, 1}, value);
   w.EndFrame();
-  FrameWriter::Patch32(slot, served);
-  EXPECT_EQ(Flatten(chunks), FramePrefix(EncodeMessage(batch)));
+  w.BeginFrame();
+  AppendPayload(w, MsgType::kReadReq, 5, RegisterId{0, 2}, {});
+  w.EndFrame();
+  golden += FramePrefix(EncodeMessage(MakeWrite(4, 0, 1, value)));
+  golden += FramePrefix(EncodeMessage(MakeRead(5, 0, 2)));
+  EXPECT_EQ(Flatten(chunks), golden);
+  EXPECT_EQ(chunks.size(), 3u);
 }
 
 TEST(FrameWriter, PutBytesRefIsZeroCopy) {
@@ -535,8 +491,7 @@ TEST(FrameWriter, ArenaResetRebuildIsByteIdentical) {
 TEST(ProtocolView, EmptyValueRoundtrips) {
   Message m = MakeWrite(1, 0, 0, "");
   const std::string payload = EncodeMessage(m);
-  Arena arena;
-  auto view = DecodeMessageView(payload, &arena);
+  auto view = DecodeMessageView(payload);
   ASSERT_TRUE(view.ok());
   ExpectViewEquals(*view, m);
   EXPECT_TRUE(view->value.empty());
@@ -548,36 +503,11 @@ TEST(ProtocolView, MaxSizeValueRoundtrips) {
       MakeWrite(1, 0, 0, std::string(kMaxFrameBytes - kWriteReqOverhead, 'x'));
   const std::string payload = EncodeMessage(m);
   ASSERT_EQ(payload.size(), kMaxFrameBytes);
-  Arena arena;
-  auto view = DecodeMessageView(payload, &arena);
+  auto view = DecodeMessageView(payload);
   ASSERT_TRUE(view.ok());
   ExpectViewEquals(*view, m);
   // Zero-copy: the view aliases the payload buffer, no materialization.
   EXPECT_EQ(view->value.data(), payload.data() + kWriteReqOverhead);
-}
-
-TEST(ProtocolView, BatchSplitAtFrameCapBoundary) {
-  // Two writes sized so the batch payload is EXACTLY kMaxFrameBytes:
-  // frameable (checked encode accepts, view decode roundtrips); one more
-  // byte of value and the frame can no longer be sent.
-  constexpr std::size_t kBatchHeader = 1 + 8 + 4;
-  constexpr std::size_t kPerSub = kBatchSubOverhead + kWriteReqOverhead;
-  const std::size_t budget = kMaxFrameBytes - kBatchHeader - 2 * kPerSub;
-  Message batch;
-  batch.type = MsgType::kBatchReq;
-  batch.subs.push_back(MakeWrite(1, 0, 0, std::string(budget / 2, 'a')));
-  batch.subs.push_back(
-      MakeWrite(2, 0, 1, std::string(budget - budget / 2, 'b')));
-  auto encoded = EncodeMessageChecked(batch);
-  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
-  ASSERT_EQ(encoded->size(), kMaxFrameBytes);
-  Arena arena;
-  auto view = DecodeMessageView(*encoded, &arena);
-  ASSERT_TRUE(view.ok());
-  ExpectViewEquals(*view, batch);
-  // One byte over the cap is rejected on the encode path.
-  batch.subs[1].value.push_back('b');
-  EXPECT_FALSE(EncodeMessageChecked(batch).ok());
 }
 
 TEST(ProtocolView, DecodeFromPartialReadBuffer) {
@@ -603,14 +533,12 @@ TEST(ProtocolView, DecodeFromPartialReadBuffer) {
   std::memcpy(&len, rx.Head(), 4);
   ASSERT_EQ(len, f1.size() - 4);
   ASSERT_GE(rx.Size(), 4 + len);
-  Arena arena;
-  auto v1 = DecodeMessageView(std::string_view(rx.Head() + 4, len), &arena);
+  auto v1 = DecodeMessageView(std::string_view(rx.Head() + 4, len));
   ASSERT_TRUE(v1.ok());
   ExpectViewEquals(*v1, m1);
   // The value view aliases the receive buffer — zero-copy.
   EXPECT_GE(v1->value.data(), rx.Head());
   EXPECT_LT(v1->value.data(), rx.Head() + rx.Size());
-  arena.Reset();
   rx.Consume(4 + len);
 
   // Frame 2 is incomplete: only half its bytes are in.
@@ -623,39 +551,23 @@ TEST(ProtocolView, DecodeFromPartialReadBuffer) {
   rx.Commit(f2.size() - half);
   std::memcpy(&len, rx.Head(), 4);
   ASSERT_EQ(rx.Size(), 4 + len);
-  auto v2 = DecodeMessageView(std::string_view(rx.Head() + 4, len), &arena);
+  auto v2 = DecodeMessageView(std::string_view(rx.Head() + 4, len));
   ASSERT_TRUE(v2.ok());
   ExpectViewEquals(*v2, m2);
 }
 
 TEST(ProtocolView, RejectsWhatDecodeMessageRejects) {
-  Arena arena;
-  // Nested batch.
-  Message inner;
-  inner.type = MsgType::kBatchReq;
-  inner.subs.push_back(MakeRead(1, 0, 0));
-  Message outer;
-  outer.type = MsgType::kBatchReq;
-  outer.subs.push_back(inner);
-  EXPECT_FALSE(DecodeMessageView(EncodeMessage(outer), &arena).ok());
-  // Hostile count: must fail cleanly before allocating the sub array.
-  Message batch;
-  batch.type = MsgType::kBatchReq;
-  batch.subs.push_back(MakeRead(1, 0, 0));
-  std::string payload = EncodeMessage(batch);
-  payload[9] = '\xff';
-  payload[10] = '\xff';
-  payload[11] = '\xff';
-  payload[12] = '\xff';
-  EXPECT_FALSE(DecodeMessageView(payload, &arena).ok());
+  // Retired batch type codes.
+  EXPECT_FALSE(DecodeMessageView(RetiredBatchPayload(7)).ok());
+  EXPECT_FALSE(DecodeMessageView(RetiredBatchPayload(8)).ok());
   // Trailing bytes.
   std::string trailing = EncodeMessage(Message{});
   trailing += "x";
-  EXPECT_FALSE(DecodeMessageView(trailing, &arena).ok());
+  EXPECT_FALSE(DecodeMessageView(trailing).ok());
   // Truncation at every cut.
   std::string whole = EncodeMessage(MakeWrite(7, 1, 2, "value"));
   for (std::size_t cut = 0; cut < whole.size(); ++cut) {
-    EXPECT_FALSE(DecodeMessageView(whole.substr(0, cut), &arena).ok())
+    EXPECT_FALSE(DecodeMessageView(whole.substr(0, cut)).ok())
         << "cut at " << cut;
   }
 }
@@ -664,7 +576,6 @@ TEST(ProtocolView, FuzzParityWithDecodeMessage) {
   // The two decoders must agree on EVERY input: same accept/reject
   // decision, same decoded fields. Anything else is a protocol fork.
   Rng rng(31337);
-  Arena arena;
   for (int i = 0; i < 4000; ++i) {
     std::string payload;
     if (rng.Below(2) == 0) {
@@ -676,70 +587,19 @@ TEST(ProtocolView, FuzzParityWithDecodeMessage) {
     } else {
       // A valid message with a few byte flips — explores the deep
       // rejection branches garbage rarely reaches.
-      Message batch;
-      batch.type = MsgType::kBatchReq;
-      const std::size_t n = rng.Below(3);
-      for (std::size_t j = 0; j < n; ++j) {
-        batch.subs.push_back(rng.Below(2) == 0 ? MakeRead(j, 0, j)
-                                               : MakeWrite(j, 1, j, "xy"));
-      }
-      payload = EncodeMessage(batch);
+      payload = EncodeMessage(rng.Below(2) == 0 ? MakeRead(i, 0, i)
+                                                : MakeWrite(i, 1, i, "xy"));
       const std::size_t flips = rng.Below(3);
       for (std::size_t f = 0; f < flips && !payload.empty(); ++f) {
         payload[rng.Below(payload.size())] =
             static_cast<char>(rng.Below(256));
       }
     }
-    arena.Reset();
     auto owned = DecodeMessage(payload);
-    auto view = DecodeMessageView(payload, &arena);
+    auto view = DecodeMessageView(payload);
     ASSERT_EQ(owned.ok(), view.ok()) << "decoders disagree at iter " << i;
     if (owned.ok()) ExpectViewEquals(*view, *owned);
   }
-}
-
-TEST(ProtocolView, InflatedBatchCountRejectedBeforeAllocating) {
-  // A hostile count that clears the old length-prefix-only bound (4
-  // bytes/sub) but not the real minimum sub size must be rejected
-  // BEFORE the sub-view array is reserved: each claimed sub costs at
-  // least its prefix plus the smallest legal payload (9 bytes for a
-  // response batch), and over-reserving is exactly how a 1MB frame used
-  // to pin ~18MB of arena.
-  std::string payload;
-  payload.push_back(static_cast<char>(MsgType::kBatchResp));
-  payload.append(8, '\0');  // request id
-  const std::uint32_t count = 100;
-  for (int i = 0; i < 4; ++i) {
-    payload.push_back(static_cast<char>((count >> (8 * i)) & 0xff));
-  }
-  payload.append(987, '\0');  // room for 246 prefixes but only 75 subs
-  Arena arena;
-  auto view = DecodeMessageView(payload, &arena);
-  EXPECT_FALSE(view.ok());
-  EXPECT_EQ(arena.bytes_used(), 0u) << "decoder allocated before the bound";
-  EXPECT_FALSE(DecodeMessage(payload).ok());
-}
-
-TEST(ProtocolView, MinimalSubBatchAtTightBoundStillDecodes) {
-  // The tightened count bound must not reject a legitimate batch built
-  // entirely from the smallest possible subs (WriteResp: 9 bytes + the
-  // 4-byte prefix) — the densest frame an honest server can send.
-  Message batch;
-  batch.type = MsgType::kBatchResp;
-  for (std::uint64_t id = 0; id < 200; ++id) {
-    Message sub;
-    sub.type = MsgType::kWriteResp;
-    sub.request_id = id;
-    batch.subs.push_back(sub);
-  }
-  const std::string payload = EncodeMessage(batch);
-  Arena arena;
-  auto view = DecodeMessageView(payload, &arena);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  ExpectViewEquals(*view, batch);
-  auto owned = DecodeMessage(payload);
-  ASSERT_TRUE(owned.ok());
-  EXPECT_EQ(*owned, batch);
 }
 
 TEST(CompactWire, DropsSentPrefixAndDetachesFromValueStorage) {
@@ -841,16 +701,44 @@ TEST(Protocol, EncodedMessageSizeMatchesEncodeMessage) {
   stats.request_id = 9;
   stats.value = "text";
   cases.push_back(stats);
-  Message batch;
-  batch.type = MsgType::kBatchReq;
-  batch.subs.push_back(MakeRead(1, 0, 0));
-  batch.subs.push_back(MakeWrite(2, 0, 1, "vv"));
-  cases.push_back(batch);
   cases.push_back(Message{});
   for (const Message& m : cases) {
     EXPECT_EQ(EncodedMessageSize(m), EncodeMessage(m).size())
         << "type " << static_cast<int>(m.type);
   }
+}
+
+TEST(FrameReader, HasFrameOnlyForCompleteBufferedFrames) {
+  // The server sizes a burst with HasFrame: a run of frames delivered in
+  // pieces must report a next frame exactly when one is fully buffered,
+  // and Next must then return it without blocking.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Socket reader_end(fds[0]);
+  Socket writer_end(fds[1]);
+  const std::string f1 = FramePrefix(EncodeMessage(MakeRead(1, 0, 0)));
+  const std::string f2 = FramePrefix(EncodeMessage(MakeWrite(2, 0, 1, "v")));
+  // The first frame and half of the second arrive together.
+  const std::size_t half = f2.size() / 2;
+  ASSERT_TRUE(SendAll(writer_end, f1 + f2.substr(0, half)).ok());
+  FrameReader reader;
+  EXPECT_FALSE(reader.HasFrame());  // nothing received yet
+  auto p1 = reader.Next(reader_end, kMaxFrameBytes);
+  ASSERT_TRUE(p1.ok());
+  EXPECT_EQ(*DecodeMessage(*p1), MakeRead(1, 0, 0));
+  EXPECT_FALSE(reader.HasFrame()) << "a torn frame counted as buffered";
+  ASSERT_TRUE(SendAll(writer_end, f2.substr(half)).ok());
+  auto p2 = reader.Next(reader_end, kMaxFrameBytes);  // blocks for the rest
+  ASSERT_TRUE(p2.ok());
+  EXPECT_EQ(*DecodeMessage(*p2), MakeWrite(2, 0, 1, "v"));
+  EXPECT_FALSE(reader.HasFrame());
+  // Two whole frames in one write: after the first, the second is
+  // already buffered.
+  ASSERT_TRUE(SendAll(writer_end, f1 + f2).ok());
+  ASSERT_TRUE(reader.Next(reader_end, kMaxFrameBytes).ok());
+  EXPECT_TRUE(reader.HasFrame());
+  ASSERT_TRUE(reader.Next(reader_end, kMaxFrameBytes).ok());
+  EXPECT_FALSE(reader.HasFrame());
 }
 
 }  // namespace

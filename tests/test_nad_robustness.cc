@@ -95,7 +95,7 @@ TEST(NadRobustness, HostileFrameLengthClosesOnlyThatConnection) {
 TEST(NadRobustness, OversizedValueRejectedClientSide) {
   OneDisk disk;
   auto client = NadClient::Connect(
-      {{0, NadClient::Endpoint{"127.0.0.1", disk.server->port()}}});
+      {{0, Endpoint{"127.0.0.1", disk.server->port()}}});
   ASSERT_TRUE(client.ok());
   // Slightly under the frame cap: succeeds.
   Mutex mu;
@@ -139,7 +139,7 @@ TEST(NadRobustness, ManyConcurrentClientsNoCrossTalk) {
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
       auto client = NadClient::Connect(
-          {{0, NadClient::Endpoint{"127.0.0.1", disk.server->port()}}});
+          {{0, Endpoint{"127.0.0.1", disk.server->port()}}});
       if (!client.ok()) {
         ++failures;
         return;

@@ -127,7 +127,7 @@ TEST(Persistence, ServerRestartsWithAcknowledgedWrites) {
     EXPECT_EQ((*server)->RecoveredCount(), 0u);
 
     auto client = NadClient::Connect(
-        {{0, NadClient::Endpoint{"127.0.0.1", port}}});
+        {{0, Endpoint{"127.0.0.1", port}}});
     ASSERT_TRUE(client.ok());
     SyncPoint sync;
     (*client)->IssueWrite(1, RegisterId{0, 7}, "durable-1", [&] { sync.Done(); });
@@ -144,7 +144,7 @@ TEST(Persistence, ServerRestartsWithAcknowledgedWrites) {
   EXPECT_EQ((*server)->RecoveredCount(), 2u);
 
   auto client = NadClient::Connect(
-      {{0, NadClient::Endpoint{"127.0.0.1", (*server)->port()}}});
+      {{0, Endpoint{"127.0.0.1", (*server)->port()}}});
   ASSERT_TRUE(client.ok());
   SyncPoint sync;
   std::string v7, v8;
@@ -171,7 +171,7 @@ TEST(Persistence, CheckpointCompactsAndSurvivesRestart) {
     ASSERT_TRUE(server.ok());
     port = (*server)->port();
     auto client = NadClient::Connect(
-        {{0, NadClient::Endpoint{"127.0.0.1", port}}});
+        {{0, Endpoint{"127.0.0.1", port}}});
     ASSERT_TRUE(client.ok());
     SyncPoint sync;
     for (int i = 0; i < 10; ++i) {
@@ -191,7 +191,7 @@ TEST(Persistence, CheckpointCompactsAndSurvivesRestart) {
   ASSERT_TRUE(server.ok());
   EXPECT_EQ((*server)->RecoveredCount(), 1u);  // 1 block from the snapshot
   auto client = NadClient::Connect(
-      {{0, NadClient::Endpoint{"127.0.0.1", (*server)->port()}}});
+      {{0, Endpoint{"127.0.0.1", (*server)->port()}}});
   ASSERT_TRUE(client.ok());
   SyncPoint sync;
   std::string got;

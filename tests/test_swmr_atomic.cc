@@ -78,7 +78,7 @@ TEST(SwmrAtomic, WaitPhaseBlocksOnHalfWrittenValue) {
   // a majority with seq >= 1 while disks 1 and 2 are stale.
   std::atomic<bool> read_returned{false};
   auto r = std::async(std::launch::async, [&] {
-    auto v = reader.ReadWithDeadline(300ms);
+    auto v = reader.Read(OpOptions::WithDeadline(300ms));
     read_returned = true;
     return v;
   });
@@ -93,13 +93,13 @@ TEST(SwmrAtomic, WaitPhaseBlocksOnHalfWrittenValue) {
   });
   auto v = r.get();
   driver.get();
-  EXPECT_FALSE(v.has_value()) << "read should have blocked, got " << *v;
+  EXPECT_FALSE(v.ok()) << "read should have blocked, got " << *v;
 
   // Now let the write finish: the next READ terminates and returns v1.
   farm.DeliverWhere([](const DetFarm::PendingOp& op) { return op.is_write; });
   w.get();
   auto r2 = std::async(std::launch::async, [&] {
-    return reader.ReadWithDeadline(2000ms);
+    return reader.Read(OpOptions::WithDeadline(2000ms));
   });
   std::atomic<bool> done2{false};
   auto driver2 = std::async(std::launch::async, [&] {
@@ -111,7 +111,7 @@ TEST(SwmrAtomic, WaitPhaseBlocksOnHalfWrittenValue) {
   auto v2 = r2.get();
   done2 = true;
   driver2.get();
-  ASSERT_TRUE(v2.has_value());
+  ASSERT_TRUE(v2.ok());
   EXPECT_EQ(*v2, "v1");
 }
 
