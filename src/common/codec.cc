@@ -2,6 +2,39 @@
 
 namespace nadreg {
 
+namespace {
+
+// A name list: varint count, then a (pid, index) varint pair per name.
+void PutNames(Encoder& e, const std::vector<Name>& names) {
+  e.PutVarint(names.size());
+  for (const Name& n : names) {
+    e.PutVarint(n.pid);
+    e.PutVarint(n.index);
+  }
+}
+
+Expected<std::vector<Name>> GetNames(Decoder& d) {
+  auto count = d.GetVarint();
+  if (!count) return count.status();
+  // Each name occupies at least 2 bytes; reject counts the buffer cannot
+  // hold before reserving (untrusted input must not drive allocation).
+  if (*count > d.Remaining() / 2) {
+    return Status::Invalid("names: count exceeds buffer");
+  }
+  std::vector<Name> names;
+  names.reserve(*count);
+  for (std::uint64_t i = 0; i < *count; ++i) {
+    auto pid = d.GetVarint();
+    if (!pid) return pid.status();
+    auto index = d.GetVarint();
+    if (!index) return index.status();
+    names.push_back(Name{*pid, *index});
+  }
+  return names;
+}
+
+}  // namespace
+
 std::string EncodeTaggedValue(const TaggedValue& tv) {
   std::string out;
   Encoder e(&out);
@@ -49,32 +82,14 @@ Expected<Name> DecodeName(std::string_view bytes) {
 std::string EncodeNameSet(const std::vector<Name>& names) {
   std::string out;
   Encoder e(&out);
-  e.PutU32(static_cast<std::uint32_t>(names.size()));
-  for (const Name& n : names) {
-    e.PutU64(n.pid);
-    e.PutU64(n.index);
-  }
+  PutNames(e, names);
   return out;
 }
 
 Expected<std::vector<Name>> DecodeNameSet(std::string_view bytes) {
   Decoder d(bytes);
-  auto count = d.GetU32();
-  if (!count) return count.status();
-  // Each name occupies 16 bytes; reject counts the buffer cannot hold
-  // before reserving (untrusted input must not drive allocation).
-  if (*count > d.Remaining() / 16) {
-    return Status::Invalid("NameSet: count exceeds buffer");
-  }
-  std::vector<Name> names;
-  names.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto pid = d.GetU64();
-    if (!pid) return pid.status();
-    auto index = d.GetU64();
-    if (!index) return index.status();
-    names.push_back(Name{*pid, *index});
-  }
+  auto names = GetNames(d);
+  if (!names) return names.status();
   if (!d.AtEnd()) return Status::Invalid("NameSet: trailing bytes");
   return names;
 }
@@ -83,11 +98,7 @@ std::string EncodeSnapRecord(const SnapRecord& rec) {
   std::string out;
   Encoder e(&out);
   e.PutBytes(rec.value);
-  e.PutU32(static_cast<std::uint32_t>(rec.snapshot.size()));
-  for (const Name& n : rec.snapshot) {
-    e.PutU64(n.pid);
-    e.PutU64(n.index);
-  }
+  PutNames(e, rec.snapshot);
   return out;
 }
 
@@ -97,19 +108,9 @@ Expected<SnapRecord> DecodeSnapRecord(std::string_view bytes) {
   auto value = d.GetBytes();
   if (!value) return value.status();
   rec.value = std::move(*value);
-  auto count = d.GetU32();
-  if (!count) return count.status();
-  if (*count > d.Remaining() / 16) {
-    return Status::Invalid("SnapRecord: count exceeds buffer");
-  }
-  rec.snapshot.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto pid = d.GetU64();
-    if (!pid) return pid.status();
-    auto index = d.GetU64();
-    if (!index) return index.status();
-    rec.snapshot.push_back(Name{*pid, *index});
-  }
+  auto snapshot = GetNames(d);
+  if (!snapshot) return snapshot.status();
+  rec.snapshot = std::move(*snapshot);
   if (!d.AtEnd()) return Status::Invalid("SnapRecord: trailing bytes");
   return rec;
 }

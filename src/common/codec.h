@@ -2,7 +2,9 @@
 /// Binary serialization for the records the emulation algorithms store in
 /// disk blocks, and for the TCP NAD wire protocol.
 ///
-/// Encoding is little-endian fixed width with length-prefixed byte strings.
+/// Encoding is little-endian fixed width with length-prefixed byte strings;
+/// name lists (snapshot views, Fig. 3 records) use LEB128 varints, so a
+/// name costs a few bytes instead of a fixed 16.
 /// All decode paths are total: they return Expected<> and never read past
 /// the end of the buffer (disk blocks and network bytes are untrusted).
 #pragma once
@@ -28,6 +30,11 @@ class Encoder {
   }
   void PutU64(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) out_->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+  /// Unsigned LEB128 varint: 7 bits per byte, high bit = more follows.
+  void PutVarint(std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) out_->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    out_->push_back(static_cast<char>(v));
   }
   /// Length-prefixed byte string (u32 length).
   void PutBytes(std::string_view s) {
@@ -66,6 +73,18 @@ class Decoder {
       v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(in_[pos_ + i])) << (8 * i);
     pos_ += 8;
     return v;
+  }
+  /// Unsigned LEB128 varint; rejects truncation and values past 64 bits.
+  Expected<std::uint64_t> GetVarint() {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (Remaining() < 1) return Status::Invalid("decode: truncated varint");
+      const auto byte = static_cast<std::uint8_t>(in_[pos_++]);
+      if (shift == 63 && byte > 1) return Status::Invalid("decode: varint overflow");
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) return v;
+    }
+    return Status::Invalid("decode: varint overflow");
   }
   Expected<std::string> GetBytes() {
     auto len = GetU32();

@@ -43,26 +43,25 @@ OneShotRegister& MwmrAtomic::ValueReg(const Name& n) {
   return *it->second;
 }
 
-const SnapRecord* MwmrAtomic::ReadValue(const Name& n) {
-  auto rec = ReadValueUntil(n, std::nullopt);
-  assert(rec.ok());
-  return *rec;
-}
-
-Expected<const SnapRecord*> MwmrAtomic::ReadValueUntil(const Name& n,
-                                                       OpDeadline deadline) {
-  auto it = known_values_.find(n);
-  if (it != known_values_.end()) {
-    return const_cast<const SnapRecord*>(&it->second);
+Status MwmrAtomic::ReadValues(const std::vector<Name>& names,
+                              OpDeadline deadline) {
+  std::vector<Name> todo;
+  std::vector<OneShotRegister*> regs;
+  for (const Name& m : names) {
+    if (known_values_.contains(m)) continue;
+    todo.push_back(m);
+    regs.push_back(&ValueReg(m));
   }
-  auto bytes = ValueReg(n).ReadUntil(deadline);
+  if (regs.empty()) return Status::Ok();
+  auto bytes = OneShotRegister::ReadMany(regs, deadline);
   if (!bytes.ok()) return bytes.status();
-  if (!bytes->has_value()) return static_cast<const SnapRecord*>(nullptr);
-  auto rec = DecodeSnapRecord(**bytes);
-  assert(rec.ok() && "stored v[n] record must decode");
-  if (!rec.ok()) return static_cast<const SnapRecord*>(nullptr);
-  return const_cast<const SnapRecord*>(
-      &known_values_.emplace(n, std::move(*rec)).first->second);
+  for (std::size_t i = 0; i < todo.size(); ++i) {
+    if (!(*bytes)[i]) continue;  // empty entry: reader or unfinished WRITE
+    auto rec = DecodeSnapRecord(*(*bytes)[i]);
+    assert(rec.ok() && "stored v[n] record must decode");
+    if (rec.ok()) known_values_.emplace(todo[i], std::move(*rec));
+  }
+  return Status::Ok();
 }
 
 void MwmrAtomic::WriteAs(const Name& name, const std::string& value) {
@@ -105,22 +104,23 @@ Expected<std::optional<std::string>> MwmrAtomic::ReadAsUntil(
     ++timeouts_;
     return snapshot.status();
   }
+  // v[m] for every uncached m ∈ S, in one round.
+  if (Status s = ReadValues(*snapshot, deadline); !s.ok()) {
+    ++timeouts_;
+    return s;
+  }
   // Pick the member of T with the largest stored snapshot. Inclusion order
   // reduces to size order under Total Ordering; identical snapshots are
   // tie-broken by larger writer name (any fixed rule works).
   const SnapRecord* best = nullptr;
   Name best_name{};
   for (const Name& m : *snapshot) {
-    auto rec = ReadValueUntil(m, deadline);
-    if (!rec.ok()) {
-      ++timeouts_;
-      return rec.status();
-    }
-    if (*rec == nullptr) continue;  // empty entry: reader or unfinished WRITE
-    if (best == nullptr ||
-        (*rec)->snapshot.size() > best->snapshot.size() ||
-        ((*rec)->snapshot.size() == best->snapshot.size() && m > best_name)) {
-      best = *rec;
+    auto it = known_values_.find(m);
+    if (it == known_values_.end()) continue;  // m ∉ T
+    const SnapRecord& rec = it->second;
+    if (best == nullptr || rec.snapshot.size() > best->snapshot.size() ||
+        (rec.snapshot.size() == best->snapshot.size() && m > best_name)) {
+      best = &rec;
       best_name = m;
     }
   }
@@ -131,10 +131,13 @@ Expected<std::optional<std::string>> MwmrAtomic::ReadAsUntil(
 
 std::vector<std::pair<Name, SnapRecord>> MwmrAtomic::CollectAll() {
   std::vector<Name> snapshot = snap_.Snapshot(FreshName());
+  Status s = ReadValues(snapshot, std::nullopt);
+  assert(s.ok());
+  (void)s;
   std::vector<std::pair<Name, SnapRecord>> out;
   for (const Name& m : snapshot) {
-    const SnapRecord* rec = ReadValue(m);
-    if (rec != nullptr) out.emplace_back(m, *rec);
+    auto it = known_values_.find(m);
+    if (it != known_values_.end()) out.emplace_back(m, it->second);
   }
   return out;
 }

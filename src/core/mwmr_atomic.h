@@ -8,7 +8,7 @@
 ///
 ///   READ under fresh name n:
 ///     S := name_snapshot(n)
-///     T := { m ∈ S : v[m] non-empty }
+///     T := { m ∈ S : v[m] non-empty }      (every v[m] read in one round)
 ///     if T = ∅: return the initial value
 ///     m* := the m ∈ T whose stored snapshot v[m].snapshot is largest in
 ///           inclusion order (Total Ordering makes them comparable; ties —
@@ -98,9 +98,9 @@ class MwmrAtomic : public obs::Instrumented {
 
  private:
   OneShotRegister& ValueReg(const Name& n);
-  const SnapRecord* ReadValue(const Name& n);
-  Expected<const SnapRecord*> ReadValueUntil(const Name& n,
-                                             OpDeadline deadline);
+  // Reads and caches, in one round, every written v[m] of `names` that is
+  // not cached yet.
+  Status ReadValues(const std::vector<Name>& names, OpDeadline deadline);
   Status WriteAsUntil(const Name& name, const std::string& value,
                       OpDeadline deadline);
   Expected<std::optional<std::string>> ReadAsUntil(const Name& name,

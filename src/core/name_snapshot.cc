@@ -85,23 +85,17 @@ Status NameSnapshot::AnnounceUntil(const Name& name, OpDeadline deadline) {
   // path whose leaf was not set by this name's own announce.)
   const std::uint64_t packed = layout_.Pack(name);
   std::uint64_t node = TrieRoot();
-  std::vector<std::pair<StickyBit*, StickyBit::InFlightWrite>> in_flight;
-  in_flight.reserve(layout_.name_bits);
+  std::vector<StickyBit*> path;
+  path.reserve(layout_.name_bits);
   for (int d = 0; d < layout_.name_bits; ++d) {
     node = TrieChild(node, (packed >> (layout_.name_bits - 1 - d)) & 1);
     StickyBit& bit = Mark(node);
     if (!bit.KnownSet()) {
       ++stats_.sticky_sets;
-      in_flight.emplace_back(&bit, bit.BeginSet());
+      path.push_back(&bit);
     }
   }
-  Status result = Status::Ok();
-  for (auto& [bit, write] : in_flight) {
-    // Drain every in-flight set even after a timeout: the writes are
-    // already issued and finishing the survivors costs no extra rounds.
-    if (Status s = bit->FinishSetUntil(write, deadline); !s.ok()) result = s;
-  }
-  return result;
+  return StickyBit::WriteMany(path, deadline);
 }
 
 std::vector<Name> NameSnapshot::Collect() {
@@ -142,70 +136,70 @@ Expected<std::vector<Name>> NameSnapshot::CollectSequential(
 
 Expected<std::vector<Name>> NameSnapshot::CollectPipelined(
     OpDeadline deadline) {
-  // Level-order walk with a whole level's sticky reads outstanding at
-  // once: O(depth) quorum round trips instead of one per marked node.
-  std::vector<std::uint64_t> frontier{TrieRoot()};
-  for (int depth = 0; depth < layout_.name_bits && !frontier.empty(); ++depth) {
-    struct Probe {
-      std::uint64_t node;
-      StickyBit* bit;
-      StickyBit::InFlightRead inflight;
-      bool known = false;
-    };
-    std::vector<Probe> probes;
-    probes.reserve(frontier.size() * 2);
-    std::vector<std::uint64_t> next;
-    for (std::uint64_t node : frontier) {
+  // Knowledge-frontier walk: each round probes, in one batched read,
+  // every unknown child of every node known to be set — at any depth.
+  // Children that read set expand in the next round; cached set nodes
+  // expand at once (sticky: cached truth is forever). So a walk costs one
+  // round plus one per level of newly discovered chain, reads exactly the
+  // bits the sequential walk reads, and probes a child only after its
+  // parent's read and write-back completed.
+  std::vector<Name> out;
+  std::vector<std::pair<std::uint64_t, int>> expand;  // (set node, depth)
+  expand.emplace_back(TrieRoot(), 0);
+  std::vector<std::pair<std::uint64_t, int>> probed;
+  std::vector<StickyBit*> probes;
+  for (;;) {
+    probed.clear();
+    probes.clear();
+    while (!expand.empty()) {
+      auto [node, depth] = expand.back();
+      expand.pop_back();
+      if (depth == layout_.name_bits) {
+        out.push_back(layout_.Unpack(node - (1ULL << layout_.name_bits)));
+        continue;
+      }
       for (unsigned b : {0u, 1u}) {
         const std::uint64_t child = TrieChild(node, b);
         StickyBit& bit = Mark(child);
         if (bit.KnownSet()) {
-          next.push_back(child);  // sticky: cached truth is forever
+          expand.emplace_back(child, depth + 1);
         } else {
           ++stats_.sticky_reads;
-          probes.push_back(Probe{child, &bit, bit.BeginIsSet(), false});
+          probes.push_back(&bit);
+          probed.emplace_back(child, depth + 1);
         }
       }
     }
-    Status failed = Status::Ok();
-    for (Probe& probe : probes) {
-      auto set = probe.bit->FinishIsSetUntil(probe.inflight, deadline);
-      if (!set.ok()) {
-        // Keep draining the remaining probes (their quorum reads are
-        // already in flight) but remember the timeout.
-        failed = set.status();
-        continue;
-      }
-      if (*set) next.push_back(probe.node);
+    if (probes.empty()) break;
+    auto set = StickyBit::ReadMany(probes, deadline);
+    if (!set.ok()) return set.status();
+    for (std::size_t i = 0; i < probed.size(); ++i) {
+      if ((*set)[i]) expand.push_back(probed[i]);
     }
-    if (!failed.ok()) return failed;
-    frontier = std::move(next);
-  }
-  std::vector<Name> out;
-  out.reserve(frontier.size());
-  for (std::uint64_t leaf : frontier) {
-    out.push_back(layout_.Unpack(leaf - (1ULL << layout_.name_bits)));
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
-Expected<const std::vector<Name>*> NameSnapshot::ReadView(
-    const Name& m, OpDeadline deadline) {
-  auto it = known_views_.find(m);
-  if (it != known_views_.end()) {
-    return const_cast<const std::vector<Name>*>(&it->second);
+Status NameSnapshot::ReadViews(const std::vector<Name>& names,
+                               const Name& skip, OpDeadline deadline) {
+  std::vector<Name> todo;
+  std::vector<OneShotRegister*> regs;
+  for (const Name& m : names) {
+    if (m == skip || known_views_.contains(m)) continue;
+    todo.push_back(m);
+    regs.push_back(&View(m));
   }
-  auto bytes = View(m).ReadUntil(deadline);
+  if (regs.empty()) return Status::Ok();
+  auto bytes = OneShotRegister::ReadMany(regs, deadline);
   if (!bytes.ok()) return bytes.status();
-  if (!bytes->has_value()) {
-    return static_cast<const std::vector<Name>*>(nullptr);
+  for (std::size_t i = 0; i < todo.size(); ++i) {
+    if (!(*bytes)[i]) continue;  // unwritten: not published (yet)
+    auto view = DecodeNameSet(*(*bytes)[i]);
+    assert(view.ok() && "published view must decode");
+    if (view.ok()) known_views_.emplace(todo[i], std::move(*view));
   }
-  auto names = DecodeNameSet(**bytes);
-  assert(names.ok() && "published view must decode");
-  if (!names.ok()) return static_cast<const std::vector<Name>*>(nullptr);
-  return const_cast<const std::vector<Name>*>(
-      &known_views_.emplace(m, std::move(*names)).first->second);
+  return Status::Ok();
 }
 
 std::vector<Name> NameSnapshot::Snapshot(const Name& name) {
@@ -232,16 +226,18 @@ Expected<std::vector<Name>> NameSnapshot::SnapshotUntil(const Name& name,
     }
     // Interference: some name announced between the collects. Any
     // concurrent operation that managed a clean pin after our announce has
-    // published a view containing us — adopt it.
+    // published a view containing us — adopt it. Every uncached view of
+    // V2 \ {n} is read in one round, then scanned in sorted order.
+    if (Status s = ReadViews(*v2, name, deadline); !s.ok()) return s;
     for (const Name& m : *v2) {
       if (m == name) continue;
-      auto view = ReadView(m, deadline);
-      if (!view.ok()) return view.status();
-      if (*view != nullptr &&
-          std::binary_search((*view)->begin(), (*view)->end(), name)) {
+      auto view = known_views_.find(m);
+      if (view != known_views_.end() &&
+          std::binary_search(view->second.begin(), view->second.end(),
+                             name)) {
         ++stats_.adoptions;
         AdoptionCounter().Inc();
-        return **view;
+        return view->second;
       }
     }
     v1 = std::move(v2);

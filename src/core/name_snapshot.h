@@ -20,10 +20,14 @@
 ///     a partially announced name is never collectable because "the whole
 ///     path is visible" is monotone and first holds when the last path bit
 ///     lands, and the leaf bit is name-specific. A collect walks the
-///     marked trie (level-pipelined by default); it gathers every fully
-///     announced name and, because the directory is grow-only and its bits
-///     are atomic, two equal consecutive collects pin the exact directory
-///     contents at a single instant.
+///     marked trie; it gathers every fully announced name and, because the
+///     directory is grow-only and its bits are atomic, two equal
+///     consecutive collects pin the exact directory contents at a single
+///     instant. By default the walk is a knowledge frontier: each round
+///     probes, in one batched read, every unknown child of every node known
+///     to be set, at any depth, so a collect costs 1 + the length of the
+///     newly discovered chains in round trips (one round when no new name
+///     appeared), not one per trie level.
 ///   * view[n]: a one-shot register owned by name n, holding the snapshot
 ///     set n committed (published before n returns).
 ///
@@ -33,7 +37,8 @@
 ///     loop:
 ///       V2 := collect()
 ///       if V2 == V1:  view[n] := V1; return V1            (clean pin)
-///       else: for m in V2, if view[m] is written and n ∈ view[m]:
+///       else: read view[m] for all m in V2 \ {n} (one round);
+///             for m in V2, if view[m] is written and n ∈ view[m]:
 ///                 return view[m]                           (adoption)
 ///             V1 := V2
 ///
@@ -84,11 +89,13 @@ class NameSnapshot : public obs::Instrumented {
 
   /// One instance per process. `object` scopes the directory's on-disk
   /// address space so independent snapshot objects do not collide.
-  /// `pipelined_collect` batches each trie level's sticky reads into
-  /// concurrently outstanding quorum reads (latency O(depth) round trips
-  /// instead of O(marked nodes)); the sequential mode is kept for the
-  /// ablation bench. Both modes read the same bits in parent-before-child
-  /// order, so the double-collect pin argument is unchanged. `layout`
+  /// `pipelined_collect` walks the knowledge frontier: each round reads
+  /// every unknown child of every known-set node, at any depth, as one
+  /// batched StickyBit::ReadMany (latency 1 + length of newly discovered
+  /// chains in round trips, instead of one per marked node); the
+  /// sequential mode is kept for the ablation bench. Both modes read the
+  /// same bits, each child only after its parent's read and write-back
+  /// completed, so the double-collect pin argument is unchanged. `layout`
   /// bounds the name universe (trie depth = layout.name_bits); the default
   /// is the full deployment layout — smaller layouts are for bounded model
   /// checking (see core/address.h).
@@ -140,8 +147,10 @@ class NameSnapshot : public obs::Instrumented {
   // Committed views already decoded (immutable once written).
   std::map<Name, std::vector<Name>> known_views_;
 
-  Expected<const std::vector<Name>*> ReadView(const Name& m,
-                                              OpDeadline deadline);
+  // Reads and caches, in one round, the published views of `names`
+  // other than `skip` that are not cached yet.
+  Status ReadViews(const std::vector<Name>& names, const Name& skip,
+                   OpDeadline deadline);
 };
 
 }  // namespace nadreg::core

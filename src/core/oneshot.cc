@@ -15,6 +15,19 @@ obs::Histogram& WriteBackHist() {
   return h;
 }
 
+// Every write to a sticky bit carries this one value.
+constexpr char kSetValue[] = "1";
+
+// The stable registers behind a batch of one-shots or sticky bits.
+template <typename Reg>
+std::vector<StableRegister*> Inners(std::span<Reg* const> regs,
+                                    StableRegister Reg::*inner) {
+  std::vector<StableRegister*> out;
+  out.reserve(regs.size());
+  for (Reg* r : regs) out.push_back(&(r->*inner));
+  return out;
+}
+
 }  // namespace
 
 StableRegister::StableRegister(BaseRegisterClient& client,
@@ -26,107 +39,113 @@ StableRegister::StableRegister(BaseRegisterClient& client,
 }
 
 void StableRegister::Write(const std::string& v) {
-  InFlightWrite write = BeginWrite(v);
-  FinishWrite(write);
-}
-
-Status StableRegister::Write(const std::string& v, const OpOptions& opts) {
-  obs::ScopedPhase phase(nullptr, "stable", "write", opts.label);
-  InFlightWrite write = BeginWrite(v);
-  return FinishWriteUntil(write, opts.Start());
-}
-
-StableRegister::InFlightWrite StableRegister::BeginWrite(const std::string& v) {
-  assert(!v.empty() && "the empty string is reserved as the initial value");
-  assert((!known_ || *known_ == v) &&
-         "stable register: all writes must carry the same value");
-  InFlightWrite write;
-  if (known_) {
-    write.cached_ = true;  // already on a majority; re-writing changes nothing
-    return write;
-  }
-  write.value_ = v;
-  write.ticket_ = set_.WriteAll(v);
-  return write;
-}
-
-void StableRegister::FinishWrite(InFlightWrite& write) {
-  Status s = FinishWriteUntil(write, std::nullopt);
+  StableRegister* const self = this;
+  Status s = WriteMany(std::span(&self, 1), v, std::nullopt);
   assert(s.ok());
   (void)s;
 }
 
-Status StableRegister::FinishWriteUntil(InFlightWrite& write,
-                                        OpDeadline deadline) {
-  if (write.cached_) return Status::Ok();
-  if (!set_.AwaitUntil(write.ticket_, quorum_, deadline)) {
-    ++timeouts_;
-    return Status::Timeout("stable write: quorum not reached before deadline");
-  }
-  known_ = write.value_;
-  ++writes_done_;
-  return Status::Ok();
+Status StableRegister::Write(const std::string& v, const OpOptions& opts) {
+  obs::ScopedPhase phase(nullptr, "stable", "write", opts.label);
+  StableRegister* const self = this;
+  return WriteMany(std::span(&self, 1), v, opts.Start());
 }
 
 std::optional<std::string> StableRegister::Read() {
-  InFlightRead read = BeginRead();
-  return FinishRead(read);
+  StableRegister* const self = this;
+  auto v = ReadMany(std::span(&self, 1), std::nullopt);
+  assert(v.ok());
+  return std::move(v->front());
 }
 
 Expected<std::optional<std::string>> StableRegister::Read(
     const OpOptions& opts) {
   obs::ScopedPhase phase(nullptr, "stable", "read", opts.label);
-  InFlightRead read = BeginRead();
-  return FinishReadUntil(read, opts.Start());
+  StableRegister* const self = this;
+  auto v = ReadMany(std::span(&self, 1), opts.Start());
+  if (!v.ok()) return v.status();
+  return std::move(v->front());
 }
 
-StableRegister::InFlightRead StableRegister::BeginRead() {
-  InFlightRead read;
-  if (known_) {
-    read.cached_ = true;  // stable: can never change once observed
-    return read;
+Status StableRegister::WriteMany(std::span<StableRegister* const> regs,
+                                 const std::string& v, OpDeadline deadline) {
+  assert(!v.empty() && "the empty string is reserved as the initial value");
+  std::vector<StableRegister*> todo;
+  std::vector<RegisterSet::SetWrite> writes;
+  for (StableRegister* r : regs) {
+    assert((!r->known_ || *r->known_ == v) &&
+           "stable register: all writes must carry the same value");
+    if (r->known_) continue;  // already on a majority; re-writing changes nothing
+    todo.push_back(r);
+    writes.push_back({&r->set_, &v});
   }
-  read.ticket_ = set_.ReadAll();
-  return read;
-}
-
-std::optional<std::string> StableRegister::FinishRead(InFlightRead& read) {
-  auto v = FinishReadUntil(read, std::nullopt);
-  assert(v.ok());
-  return std::move(*v);
-}
-
-Expected<std::optional<std::string>> StableRegister::FinishReadUntil(
-    InFlightRead& read, OpDeadline deadline) {
-  if (read.cached_) return known_;
-  if (!set_.AwaitUntil(read.ticket_, quorum_, deadline)) {
-    ++timeouts_;
-    return Status::Timeout("stable read: quorum not reached before deadline");
+  if (todo.empty()) return Status::Ok();
+  StableRegister& lead = *todo.front();
+  auto ticket = RegisterSet::WriteAllOf(writes);
+  if (!lead.set_.AwaitUntil(ticket, lead.quorum_, deadline)) {
+    for (StableRegister* r : todo) ++r->timeouts_;
+    return Status::Timeout("stable write: quorum not reached before deadline");
   }
-  std::string seen;
-  for (const auto& [idx, bytes] : read.ticket_.Results()) {
-    if (!bytes.empty()) {
-      seen = bytes;
-      break;
+  for (StableRegister* r : todo) {
+    r->known_ = v;
+    ++r->writes_done_;
+  }
+  return Status::Ok();
+}
+
+Expected<std::vector<std::optional<std::string>>> StableRegister::ReadMany(
+    std::span<StableRegister* const> regs, OpDeadline deadline) {
+  std::vector<std::optional<std::string>> out(regs.size());
+  std::vector<StableRegister*> todo;
+  std::vector<std::size_t> todo_at;  // todo[p] answers out[todo_at[p]]
+  std::vector<RegisterSet*> sets;
+  for (std::size_t i = 0; i < regs.size(); ++i) {
+    if (regs[i]->known_) {
+      out[i] = regs[i]->known_;  // stable: can never change once observed
+      continue;
+    }
+    todo.push_back(regs[i]);
+    todo_at.push_back(i);
+    sets.push_back(&regs[i]->set_);
+  }
+  if (todo.empty()) return out;
+  auto timeout = [&](const char* what) {
+    for (StableRegister* r : todo) ++r->timeouts_;
+    return Status::Timeout(what);
+  };
+  const std::size_t quorum = todo.front()->quorum_;
+
+  // Round 1: every register's quorum read, outstanding at once.
+  auto read = RegisterSet::ReadAllOf(sets);
+  if (!sets.front()->AwaitUntil(read, quorum, deadline)) {
+    return timeout("stable read: quorum not reached before deadline");
+  }
+  std::vector<std::size_t> written;  // parts that read a non-initial value
+  std::vector<RegisterSet::SetWrite> write_backs;
+  for (std::size_t p = 0; p < todo.size(); ++p) {
+    for (const auto& [idx, bytes] : read.Results(p)) {
+      if (!bytes.empty()) {
+        out[todo_at[p]] = bytes;
+        written.push_back(p);
+        write_backs.push_back({sets[p], &*out[todo_at[p]]});
+        break;
+      }
     }
   }
-  if (seen.empty()) {
-    ++reads_done_;
-    return std::optional<std::string>{};  // all initial
-  }
-  // Write-back before returning: after this, v is on a majority and every
-  // later READ is guaranteed to see it (atomicity across readers).
-  {
+
+  // Round 2: every write-back, in one round. Only after it, v is on a
+  // majority and every later READ is guaranteed to see it (atomicity
+  // across readers) — so only now may the value be cached.
+  if (!write_backs.empty()) {
     obs::ScopedPhase phase(&WriteBackHist(), "stable", "write_back");
-    auto wb = set_.WriteAll(seen);
-    if (!set_.AwaitUntil(wb, quorum_, deadline)) {
-      ++timeouts_;
-      return Status::Timeout("stable read: write-back timed out");
+    auto wb = RegisterSet::WriteAllOf(write_backs);
+    if (!write_backs.front().set->AwaitUntil(wb, quorum, deadline)) {
+      return timeout("stable read: write-back timed out");
     }
+    for (std::size_t p : written) todo[p]->known_ = out[todo_at[p]];
   }
-  known_ = seen;
-  ++reads_done_;
-  return known_;
+  for (StableRegister* r : todo) ++r->reads_done_;
+  return out;
 }
 
 obs::PhaseCounters StableRegister::op_metrics() const {
@@ -157,8 +176,8 @@ Status OneShotRegister::WriteUntil(const std::string& v, OpDeadline deadline) {
   if (written_) return Status::AlreadyWritten();
   if (v.empty()) return Status::Invalid("one-shot: empty value is reserved");
   written_ = true;
-  auto write = inner_.BeginWrite(v);
-  return inner_.FinishWriteUntil(write, deadline);
+  StableRegister* const inner = &inner_;
+  return StableRegister::WriteMany(std::span(&inner, 1), v, deadline);
 }
 
 std::optional<std::string> OneShotRegister::Read() { return inner_.Read(); }
@@ -168,28 +187,42 @@ Expected<std::optional<std::string>> OneShotRegister::Read(
   return inner_.Read(opts);
 }
 
-Expected<std::optional<std::string>> OneShotRegister::ReadUntil(
-    OpDeadline deadline) {
-  auto read = inner_.BeginRead();
-  return inner_.FinishReadUntil(read, deadline);
+Expected<std::vector<std::optional<std::string>>> OneShotRegister::ReadMany(
+    std::span<OneShotRegister* const> regs, OpDeadline deadline) {
+  return StableRegister::ReadMany(Inners(regs, &OneShotRegister::inner_),
+                                  deadline);
 }
 
 StickyBit::StickyBit(BaseRegisterClient& client, const FarmConfig& farm,
                      std::vector<RegisterId> regs, ProcessId self)
     : inner_(client, farm, std::move(regs), self) {}
 
-void StickyBit::Set() { inner_.Write("1"); }
+void StickyBit::Set() { inner_.Write(kSetValue); }
 
 bool StickyBit::IsSet() { return inner_.Read().has_value(); }
 
-Status StickyBit::SetUntil(OpDeadline deadline) {
-  auto write = inner_.BeginWrite("1");
-  return inner_.FinishWriteUntil(write, deadline);
+Expected<bool> StickyBit::IsSetUntil(OpDeadline deadline) {
+  StickyBit* const self = this;
+  auto v = ReadMany(std::span(&self, 1), deadline);
+  if (!v.ok()) return v.status();
+  return bool{v->front()};
 }
 
-Expected<bool> StickyBit::IsSetUntil(OpDeadline deadline) {
-  auto read = inner_.BeginRead();
-  return FinishIsSetUntil(read, deadline);
+Expected<std::vector<bool>> StickyBit::ReadMany(
+    std::span<StickyBit* const> bits, OpDeadline deadline) {
+  auto values =
+      StableRegister::ReadMany(Inners(bits, &StickyBit::inner_), deadline);
+  if (!values.ok()) return values.status();
+  std::vector<bool> out;
+  out.reserve(values->size());
+  for (const auto& v : *values) out.push_back(v.has_value());
+  return out;
+}
+
+Status StickyBit::WriteMany(std::span<StickyBit* const> bits,
+                            OpDeadline deadline) {
+  return StableRegister::WriteMany(Inners(bits, &StickyBit::inner_), kSetValue,
+                                   deadline);
 }
 
 }  // namespace nadreg::core

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,35 +62,21 @@ class StableRegister : public obs::Instrumented {
   /// writes of stable state.
   bool Known() const { return known_.has_value(); }
 
-  /// Split-phase read, allowing many stable registers to be read
-  /// concurrently (the name snapshot pipelines a whole trie level this
-  /// way). Begin issues the quorum reads; Finish blocks, applies the
-  /// write-back rule and returns exactly what Read() would have.
-  class InFlightRead {
-   private:
-    friend class StableRegister;
-    RegisterSet::Ticket ticket_;
-    bool cached_ = false;
-  };
-  InFlightRead BeginRead();
-  std::optional<std::string> FinishRead(InFlightRead& read);
-  /// Deadline-aware Finish (kTimeout = abandoned past `deadline`).
-  Expected<std::optional<std::string>> FinishReadUntil(InFlightRead& read,
-                                                       OpDeadline deadline);
+  /// Batched READ of many distinct stable registers of one process, in
+  /// at most two rounds: every uncached register's quorum read goes out
+  /// in one RegisterSet::ReadAllOf, then every needed write-back in one
+  /// WriteAllOf. Each result is exactly what that register's Read() would
+  /// return; cached registers cost no base traffic. A register caches its
+  /// value only once its write-back quorum completed. kTimeout = the
+  /// deadline expired mid-round (nothing is cached then).
+  static Expected<std::vector<std::optional<std::string>>> ReadMany(
+      std::span<StableRegister* const> regs, OpDeadline deadline);
 
-  /// Split-phase write (same contract as Write): many stable registers
-  /// can be written concurrently (the name snapshot announces all of a
-  /// name's path bits in one round trip this way).
-  class InFlightWrite {
-   private:
-    friend class StableRegister;
-    RegisterSet::Ticket ticket_;
-    bool cached_ = false;
-    std::string value_;
-  };
-  InFlightWrite BeginWrite(const std::string& v);
-  void FinishWrite(InFlightWrite& write);
-  Status FinishWriteUntil(InFlightWrite& write, OpDeadline deadline);
+  /// Batched WRITE of `v` to many distinct stable registers of one
+  /// process (same contract as Write): one WriteAllOf round for all that
+  /// are not already known to hold it.
+  static Status WriteMany(std::span<StableRegister* const> regs,
+                          const std::string& v, OpDeadline deadline);
 
   obs::PhaseCounters op_metrics() const override;
 
@@ -121,7 +108,10 @@ class OneShotRegister : public obs::Instrumented {
   Status Write(const std::string& v, const OpOptions& opts);
   Expected<std::optional<std::string>> Read(const OpOptions& opts);
   Status WriteUntil(const std::string& v, OpDeadline deadline);
-  Expected<std::optional<std::string>> ReadUntil(OpDeadline deadline);
+
+  /// Batched READ of many one-shot registers (see StableRegister::ReadMany).
+  static Expected<std::vector<std::optional<std::string>>> ReadMany(
+      std::span<OneShotRegister* const> regs, OpDeadline deadline);
 
   obs::PhaseCounters op_metrics() const override { return inner_.op_metrics(); }
 
@@ -139,31 +129,19 @@ class StickyBit : public obs::Instrumented {
 
   void Set();
   bool IsSet();
-  /// Deadline-aware variants (kTimeout = abandoned past `deadline`).
-  Status SetUntil(OpDeadline deadline);
+  /// Deadline-aware IsSet (kTimeout = abandoned past `deadline`).
   Expected<bool> IsSetUntil(OpDeadline deadline);
   /// True once this endpoint has majority-visible evidence the bit is set.
   bool KnownSet() const { return inner_.Known(); }
 
-  /// Split-phase IsSet (see StableRegister::BeginRead/FinishRead).
-  using InFlightRead = StableRegister::InFlightRead;
-  InFlightRead BeginIsSet() { return inner_.BeginRead(); }
-  bool FinishIsSet(InFlightRead& read) {
-    return inner_.FinishRead(read).has_value();
-  }
-  Expected<bool> FinishIsSetUntil(InFlightRead& read, OpDeadline deadline) {
-    auto v = inner_.FinishReadUntil(read, deadline);
-    if (!v.ok()) return v.status();
-    return v->has_value();
-  }
-
-  /// Split-phase Set (see StableRegister::BeginWrite/FinishWrite).
-  using InFlightWrite = StableRegister::InFlightWrite;
-  InFlightWrite BeginSet() { return inner_.BeginWrite("1"); }
-  void FinishSet(InFlightWrite& write) { inner_.FinishWrite(write); }
-  Status FinishSetUntil(InFlightWrite& write, OpDeadline deadline) {
-    return inner_.FinishWriteUntil(write, deadline);
-  }
+  /// Batched IsSet of many bits (see StableRegister::ReadMany): one round
+  /// of quorum reads, plus one write-back round if any bit reads set.
+  static Expected<std::vector<bool>> ReadMany(std::span<StickyBit* const> bits,
+                                              OpDeadline deadline);
+  /// Batched Set of many bits: one write round for every bit not already
+  /// known set.
+  static Status WriteMany(std::span<StickyBit* const> bits,
+                          OpDeadline deadline);
 
   obs::PhaseCounters op_metrics() const override { return inner_.op_metrics(); }
 

@@ -20,7 +20,10 @@
 /// vectored IssueReads/IssueWrites call, so the TCP backend sends the
 /// whole fan-out with one writev per disk (per-register semantics
 /// are untouched — each op still completes, or silently never does, on
-/// its own).
+/// its own). ReadAllOf/WriteAllOf widen one such call to a *round* over
+/// many sets of the same process — the snapshot layer's way to probe a
+/// whole knowledge frontier of sticky bits with one issue and one wait.
+/// ReadAll/WriteAll are the one-set round.
 ///
 /// Observability: the engine accounts for the paper's two cost centres —
 /// time blocked in quorum waits and depth of the pending-write queues —
@@ -33,6 +36,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -45,20 +49,29 @@ namespace nadreg::core {
 
 class RegisterSet : public obs::Instrumented {
  public:
-  /// Completion record of one quorum call: which registers responded and,
-  /// for reads, what they returned.
+  /// Completion record of one quorum round: which registers responded
+  /// and, for reads, what they returned. A round has one *part* per set it
+  /// covers, in the order the sets were passed (single-set calls: part 0).
   class Ticket {
    public:
-    /// Number of completions so far.
-    std::size_t Completed() const;
-    /// (register index, value) pairs completed so far; writes carry an
-    /// empty value. Indices refer to the constructor's register vector.
-    std::vector<std::pair<std::size_t, Value>> Results() const;
+    /// Number of completions of `part` so far.
+    std::size_t Completed(std::size_t part = 0) const;
+    /// (register index, value) pairs of `part` completed so far; writes
+    /// carry an empty value. Indices refer to that set's register vector.
+    std::vector<std::pair<std::size_t, Value>> Results(
+        std::size_t part = 0) const;
 
    private:
     friend class RegisterSet;
     struct State;
     std::shared_ptr<State> state_;
+  };
+
+  /// One set's write within a WriteAllOf round (`value` must outlive the
+  /// call).
+  struct SetWrite {
+    RegisterSet* set;
+    const Value* value;
   };
 
   /// `client` must outlive this object and all of its pending operations.
@@ -79,6 +92,17 @@ class RegisterSet : public obs::Instrumented {
   /// Issues (or queues, with coalescing) a read of every base register.
   Ticket ReadAll();
 
+  /// One read round over distinct sets sharing one client and ProcessId:
+  /// every issuable register of every set goes out in ONE IssueReads call;
+  /// busy slots queue and coalesce exactly as under ReadAll. Part p of the
+  /// ticket is sets[p].
+  static Ticket ReadAllOf(std::span<RegisterSet* const> sets);
+
+  /// One write round, likewise: ONE IssueWrites call for every issuable
+  /// register; busy slots queue behind their pending op. Part p of the
+  /// ticket is writes[p].set, written with *writes[p].value.
+  static Ticket WriteAllOf(std::span<const SetWrite> writes);
+
   /// Issues (or queues, like writes) a coded-cell merge with a DISTINCT
   /// delta per base register — the coded write phase's fan-out, where
   /// register i receives fragment i's Put delta. `deltas` must have one
@@ -87,7 +111,9 @@ class RegisterSet : public obs::Instrumented {
   /// delta must take effect).
   Ticket MergeEach(std::vector<Value> deltas);
 
-  /// Blocks until at least `k` of the ticket's operations completed.
+  /// Blocks until at least `k` operations of EVERY part of the ticket
+  /// completed — one wait for a whole round. A round ticket may be awaited
+  /// through any set it covers; the wait is accounted to that set.
   /// Returns false on timeout (when a deadline is supplied).
   bool Await(const Ticket& ticket, std::size_t k,
              std::optional<std::chrono::milliseconds> timeout = std::nullopt);

@@ -116,6 +116,43 @@ TEST(NameSetCodec, EmptySetRoundtrip) {
   EXPECT_TRUE(decoded->empty());
 }
 
+TEST(NameSetCodec, SmallIdsEncodeCompactly) {
+  // Names are varint pairs: ids below 128 cost 2 bytes, not 16.
+  std::vector<Name> names;
+  for (std::uint64_t i = 0; i < 64; ++i) names.push_back(Name{i % 4 + 1, i});
+  const std::string bytes = EncodeNameSet(names);
+  EXPECT_EQ(bytes.size(), 1u + 64u * 2u);
+  auto decoded = DecodeNameSet(bytes);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded, names);
+}
+
+TEST(NameSetCodec, HostileCountRejectedBeforeAllocating) {
+  std::string bytes;
+  Encoder e(&bytes);
+  e.PutVarint(~0ULL);  // claims 2^64 - 1 names
+  e.PutVarint(1);
+  e.PutVarint(2);
+  EXPECT_FALSE(DecodeNameSet(bytes).ok());
+}
+
+TEST(VarintCodec, RoundtripsBoundaryValuesAndRejectsOverflow) {
+  for (std::uint64_t v : {0ULL, 1ULL, 127ULL, 128ULL, 16383ULL, 16384ULL,
+                          (1ULL << 63), ~0ULL}) {
+    std::string bytes;
+    Encoder(&bytes).PutVarint(v);
+    Decoder d(bytes);
+    auto got = d.GetVarint();
+    ASSERT_TRUE(got.ok()) << v;
+    EXPECT_EQ(*got, v);
+    EXPECT_TRUE(d.AtEnd());
+  }
+  // Eleven continuation bytes, or a tenth byte carrying bits past 64.
+  EXPECT_FALSE(Decoder(std::string(11, '\x80')).GetVarint().ok());
+  EXPECT_FALSE(Decoder(std::string(9, '\xff') + '\x02').GetVarint().ok());
+  EXPECT_FALSE(Decoder(std::string(1, '\x80')).GetVarint().ok());
+}
+
 TEST(SnapRecordCodec, Roundtrip) {
   SnapRecord rec;
   rec.value = "the written value";

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "checker/consistency.h"
 #include "checker/history.h"
 #include "core/config.h"
+#include "counting_client.h"
 #include "sim/sim_farm.h"
 
 namespace nadreg::core {
@@ -113,6 +115,48 @@ TEST(MwmrAtomic, ToleratesTwoFullDiskCrashesWithT2) {
   auto v = reader.Read();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, "t2");
+}
+
+TEST(MwmrAtomic, ReadFetchesSnapshotValuesInOneRound) {
+  // A READ reads v[m] for every m of its snapshot in one round, not one
+  // round per name.
+  FarmConfig cfg{1};
+  SimFarm farm;
+  constexpr ProcessId kReaders = 6;
+  for (ProcessId p = 1; p <= kReaders; ++p) {
+    MwmrAtomic announced(farm, cfg, /*object=*/1, p);
+    EXPECT_FALSE(announced.Read().has_value());  // announces Name{p, 0}
+  }
+  while (farm.InFlight() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  testutil::CountingClient client(farm);
+  constexpr ProcessId kSelf = 99;
+  MwmrAtomic reader(client, cfg, /*object=*/1, kSelf);
+  EXPECT_FALSE(reader.Read().has_value());
+
+  // Every name of the READ's snapshot: the announced readers and itself.
+  std::vector<RegisterId> value_regs;
+  for (ProcessId p = 1; p <= kReaders + 1; ++p) {
+    const Name m{p <= kReaders ? p : kSelf, 0};
+    for (const RegisterId& r :
+         cfg.Spread(MakeBlock(1, Component::kValue, PackName(m)))) {
+      value_regs.push_back(r);
+    }
+  }
+  std::size_t value_rounds = 0;
+  for (const auto& round : client.ReadRounds()) {
+    const auto hits =
+        std::count_if(round.begin(), round.end(), [&](const RegisterId& r) {
+          return std::find(value_regs.begin(), value_regs.end(), r) !=
+                 value_regs.end();
+        });
+    if (hits == 0) continue;
+    ++value_rounds;
+    EXPECT_EQ(static_cast<std::size_t>(hits), value_regs.size());
+  }
+  EXPECT_EQ(value_rounds, 1u);
 }
 
 TEST(NameLayout, PackUnpackRoundTrip) {

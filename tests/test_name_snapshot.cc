@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "core/config.h"
+#include "counting_client.h"
 #include "sim/sim_farm.h"
 
 namespace nadreg::core {
@@ -156,6 +158,26 @@ TEST(NameSnapshot, StatsAccumulate) {
   EXPECT_GE(st.collects, 2u);      // at least one double collect
   EXPECT_EQ(st.sticky_sets, 48u);  // one announce: 48 path bits
   EXPECT_GT(st.sticky_reads, 0u);
+}
+
+TEST(NameSnapshot, WarmCollectIsOneRoundAtFullDepth) {
+  // After its own snapshot an endpoint knows every set node of its path
+  // through the 48-level trie, so a collect that finds no new name probes
+  // all of the path's unset siblings — at every depth — in ONE round.
+  FarmConfig cfg{1};
+  SimFarm farm;
+  testutil::CountingClient client(farm);
+  NameSnapshot snap(client, cfg, 1, 1);  // default 48-bit layout
+  snap.Snapshot(Name{1, 0});
+  while (farm.InFlight() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  client.Reset();
+  const auto sticky_reads = snap.stats().sticky_reads;
+
+  EXPECT_EQ(snap.Collect(), std::vector<Name>{(Name{1, 0})});
+  EXPECT_EQ(client.ReadCalls(), 1u);
+  EXPECT_EQ(snap.stats().sticky_reads - sticky_reads, 48u);
 }
 
 TEST(NameSnapshot, AdoptionPathFiresUnderInterference) {

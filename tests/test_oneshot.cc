@@ -235,24 +235,27 @@ TEST(StableRegister, SplitPhaseReadMatchesRead) {
   SimFarm farm;
   StableRegister writer(farm, rig.farm_cfg, rig.regs, 1);
   StableRegister reader(farm, rig.farm_cfg, rig.regs, 2);
-  // Unwritten: split-phase read returns nullopt.
-  auto r0 = reader.BeginRead();
-  EXPECT_FALSE(reader.FinishRead(r0).has_value());
+  StableRegister* const batch[] = {&reader};
+  // Unwritten: a batched read returns nullopt.
+  auto r0 = StableRegister::ReadMany(batch, std::nullopt);
+  ASSERT_TRUE(r0.ok());
+  EXPECT_FALSE((*r0)[0].has_value());
   writer.Write("v");
-  auto r1 = reader.BeginRead();
-  auto v1 = reader.FinishRead(r1);
-  ASSERT_TRUE(v1.has_value());
-  EXPECT_EQ(*v1, "v");
-  // Cached afterwards: Begin/Finish short-circuit without base traffic.
+  auto r1 = StableRegister::ReadMany(batch, std::nullopt);
+  ASSERT_TRUE(r1.ok());
+  ASSERT_TRUE((*r1)[0].has_value());
+  EXPECT_EQ(*(*r1)[0], "v");
+  // Cached afterwards: the batch short-circuits without base traffic.
   const auto issued = farm.stats().TotalIssued();
-  auto r2 = reader.BeginRead();
-  EXPECT_EQ(*reader.FinishRead(r2), "v");
+  auto r2 = StableRegister::ReadMany(batch, std::nullopt);
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(*(*r2)[0], "v");
   EXPECT_EQ(farm.stats().TotalIssued(), issued);
 }
 
 TEST(StableRegister, ManyConcurrentSplitPhaseReads) {
-  // The pipelining pattern: begin N reads over distinct registers, then
-  // finish them all — results identical to sequential reads.
+  // The batching pattern: read N distinct registers in one round —
+  // results identical to sequential reads.
   FarmConfig cfg{1};
   SimFarm farm;
   constexpr int kBits = 20;
@@ -263,17 +266,21 @@ TEST(StableRegister, ManyConcurrentSplitPhaseReads) {
     if (b % 2 == 0) regs.back()->Write("set-" + std::to_string(b));
   }
   std::vector<std::unique_ptr<StableRegister>> readers;
-  std::vector<StableRegister::InFlightRead> reads;
+  std::vector<StableRegister*> batch;
   for (BlockId b = 0; b < kBits; ++b) {
     readers.push_back(
         std::make_unique<StableRegister>(farm, cfg, cfg.Spread(b), 2));
-    reads.push_back(readers.back()->BeginRead());
+    batch.push_back(readers.back().get());
   }
+  auto values = StableRegister::ReadMany(batch, std::nullopt);
+  ASSERT_TRUE(values.ok());
+  ASSERT_EQ(values->size(), static_cast<std::size_t>(kBits));
   for (int b = 0; b < kBits; ++b) {
-    auto v = readers[b]->FinishRead(reads[b]);
+    const auto& v = (*values)[b];
     if (b % 2 == 0) {
       ASSERT_TRUE(v.has_value());
       EXPECT_EQ(*v, "set-" + std::to_string(b));
+      EXPECT_TRUE(readers[b]->Known());
     } else {
       EXPECT_FALSE(v.has_value());
     }
@@ -284,8 +291,9 @@ TEST(StickyBit, SplitPhaseSetIsVisibleOnFinish) {
   Rig rig;
   SimFarm farm;
   StickyBit setter(farm, rig.farm_cfg, rig.regs, 1);
-  auto w = setter.BeginSet();
-  setter.FinishSet(w);
+  StickyBit* const batch[] = {&setter};
+  ASSERT_TRUE(StickyBit::WriteMany(batch, std::nullopt).ok());
+  EXPECT_TRUE(setter.KnownSet());
   StickyBit tester(farm, rig.farm_cfg, rig.regs, 2);
   EXPECT_TRUE(tester.IsSet());
 }
@@ -295,12 +303,12 @@ TEST(StickyBit, ParallelSplitPhaseSetsAllLand) {
   SimFarm farm;
   constexpr int kBits = 30;
   std::vector<std::unique_ptr<StickyBit>> bits;
-  std::vector<StickyBit::InFlightWrite> writes;
+  std::vector<StickyBit*> batch;
   for (BlockId b = 0; b < kBits; ++b) {
     bits.push_back(std::make_unique<StickyBit>(farm, cfg, cfg.Spread(b), 1));
-    writes.push_back(bits.back()->BeginSet());
+    batch.push_back(bits.back().get());
   }
-  for (int b = 0; b < kBits; ++b) bits[b]->FinishSet(writes[b]);
+  ASSERT_TRUE(StickyBit::WriteMany(batch, std::nullopt).ok());
   for (BlockId b = 0; b < kBits; ++b) {
     StickyBit t(farm, cfg, cfg.Spread(b), 2);
     EXPECT_TRUE(t.IsSet()) << "bit " << b;

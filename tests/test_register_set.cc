@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "core/config.h"
+#include "counting_client.h"
 #include "sim/det_farm.h"
 #include "sim/sim_farm.h"
 
@@ -172,6 +173,73 @@ TEST(RegisterSet, MixedQueueKeepsOrder) {
   // The read ran after w1 but before w2 on every register.
   for (const auto& [idx, v] : tr.Results()) EXPECT_EQ(v, "w1");
   for (const auto& r : regs) EXPECT_EQ(farm.Peek(r), "w2");
+}
+
+TEST(RegisterSet, ReadAllOfKeepsPendingDiscipline) {
+  // A round over several sets treats each busy slot exactly as ReadAll
+  // does: the read queues behind the pending op and coalesces with a
+  // queued read. Every free slot of every set goes out in ONE vectored
+  // call.
+  DetFarm farm;
+  testutil::CountingClient client(farm);
+  const FarmConfig cfg{1};
+  RegisterSet busy(client, 1, cfg.Spread(0));
+  RegisterSet idle(client, 1, cfg.Spread(1));
+  for (const auto& r : idle.registers()) {
+    farm.IssueWrite(99, r, "idle-v", nullptr);
+  }
+  farm.DeliverAll();
+  auto t1 = busy.ReadAll();  // issued: busy's slots are now pending
+  auto t2 = busy.ReadAll();  // queued behind t1
+  client.Reset();
+
+  RegisterSet* const sets[] = {&busy, &idle};
+  auto round = RegisterSet::ReadAllOf(sets);
+  // One call, carrying only the idle set's reads: the busy set's reads
+  // coalesced with t2's queued ones.
+  ASSERT_EQ(client.ReadCalls(), 1u);
+  EXPECT_EQ(client.ReadRounds()[0], idle.registers());
+  EXPECT_EQ(farm.Pending().size(), 6u);
+
+  farm.DeliverAll();
+  ASSERT_TRUE(busy.Await(t1, 3, 100ms));
+  ASSERT_TRUE(busy.Await(t2, 3, 100ms));
+  ASSERT_TRUE(busy.Await(round, 3, 100ms));
+  EXPECT_EQ(round.Completed(0), 3u);
+  EXPECT_EQ(round.Completed(1), 3u);
+  // Part indices are each set's own register indices.
+  auto idle_results = round.Results(1);
+  ASSERT_EQ(idle_results.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(idle_results[i].first, i);
+    EXPECT_EQ(idle_results[i].second, "idle-v");
+  }
+  // 3 (t1) + 3 (t2 and the round's busy part, coalesced) + 3 (idle) reads
+  // reached the farm, not 12.
+  EXPECT_EQ(farm.stats().reads_issued, 9u);
+}
+
+TEST(RegisterSet, WriteAllOfQueuesBehindPendingWrites) {
+  DetFarm farm;
+  testutil::CountingClient client(farm);
+  const FarmConfig cfg{1};
+  RegisterSet busy(client, 1, cfg.Spread(0));
+  RegisterSet idle(client, 1, cfg.Spread(1));
+  auto first = busy.WriteAll("first");
+  client.Reset();
+  const Value a = "a";
+  const Value b = "b";
+  const RegisterSet::SetWrite writes[] = {{&busy, &a}, {&idle, &b}};
+  auto round = RegisterSet::WriteAllOf(writes);
+  // One call with the idle set's writes; busy's "a" waits behind "first".
+  EXPECT_EQ(client.WriteCalls(), 1u);
+  EXPECT_EQ(farm.Pending().size(), 6u);
+  farm.DeliverAll();
+  ASSERT_TRUE(busy.Await(first, 3, 100ms));
+  ASSERT_TRUE(busy.Await(round, 3, 100ms));
+  for (const auto& r : busy.registers()) EXPECT_EQ(farm.Peek(r), "a");
+  for (const auto& r : idle.registers()) EXPECT_EQ(farm.Peek(r), "b");
+  EXPECT_EQ(farm.stats().writes_issued, 9u);  // writes never coalesce
 }
 
 TEST(RegisterSet, TwoProcessesHaveIndependentChains) {
