@@ -15,32 +15,48 @@
 //   wire bytes           the endpoint's transport-independent accounting
 //                        (delta payloads out, cell payloads in), split
 //                        into write-phase and read-phase averages;
-//   decode percentiles   the "core.coded.decode_us" histogram from the
-//                        metrics registry, accumulated over every read.
+//   decode percentiles   exact sorted samples (nearest rank) of
+//                        RsCode::Decode from the LAST k fragments of each
+//                        cell's final value — parity-heavy, so the GF(2^8)
+//                        kernel does the work rather than the plain copy a
+//                        quorum of data fragments takes.
+//
+// It then measures the kernels on one 64 KiB value: CRC-32 MB/s for
+// slicing-by-8 and the bytewise oracle, and encode / decode MB/s on every
+// GF(2^8) kernel this CPU runs (rs_code.h, detail::GfKernel), and checks
+// that every kernel encodes and decodes bit-identically to the scalar one
+// and that both CRCs agree, over every geometry and several value sizes.
+// The artifact records provenance: git SHA, compiler, nproc, and the
+// kernel the emulation ran on.
 //
 // --check turns the storage claim into a CI gate: at n=8, k=5 the
 // measured at-rest blowup must stay <= 1.1 x (n/k) for every value size
 // >= 4096 bytes (below that the fixed ~52B/cell tag+geometry metadata
 // dominates the fragment and the ratio is meaningless — the small sizes
-// are still reported in the artifact, just not gated).
+// are still reported in the artifact, just not gated). It also fails if
+// any kernel's output differs from the scalar kernel's.
 //
 // Flags: --quick        CI shape (fewer ops per cell of the sweep)
 //        --check        run --quick and exit 1 if a gated blowup exceeds
-//                       1.1 x n/k at n=8, k=5
+//                       1.1 x n/k at n=8, k=5, or if the kernels disagree
 //        --ops N        writes (and reads) per sweep cell
 //        --out FILE     output path (default BENCH_coded.json)
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/coded_cell.h"
 #include "common/rng.h"
 #include "core/address.h"
 #include "core/coded/coded_mwmr.h"
-#include "obs/metrics.h"
+#include "core/coded/rs_code.h"
 #include "sim/sim_farm.h"
 
 namespace {
@@ -52,7 +68,13 @@ using nadreg::core::CodedMwmr;
 using nadreg::core::CodedOptions;
 using nadreg::core::Component;
 using nadreg::core::MakeBlock;
+using nadreg::core::RsCode;
+using nadreg::core::detail::ActiveGfKernel;
+using nadreg::core::detail::AvailableGfKernels;
+using nadreg::core::detail::GfKernel;
+using nadreg::core::detail::GfKernelName;
 using nadreg::sim::SimFarm;
+using Clock = std::chrono::steady_clock;
 
 constexpr std::uint32_t kObject = 1;
 
@@ -75,9 +97,36 @@ std::string RandomValue(Rng& rng, std::size_t size) {
   return v;
 }
 
-/// Runs one sweep cell on a fresh farm. Returns false on setup failure.
+/// The last k fragments' (index, bytes) pairs: the decode that leans
+/// hardest on the GF(2^8) kernel.
+std::vector<std::pair<unsigned, std::string_view>> LastK(
+    const std::vector<std::string>& frags, unsigned k) {
+  std::vector<std::pair<unsigned, std::string_view>> out;
+  for (auto i = static_cast<unsigned>(frags.size() - k); i < frags.size();
+       ++i) {
+    out.emplace_back(i, frags[i]);
+  }
+  return out;
+}
+
+double ElapsedUs(Clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - start)
+      .count();
+}
+
+/// Nearest-rank percentile of exact, sorted samples.
+double Percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0;
+  const std::size_t idx = static_cast<std::size_t>(
+      p * static_cast<double>(sorted.size() - 1) + 0.5);
+  return sorted[std::min(idx, sorted.size() - 1)];
+}
+
+/// Runs one sweep cell on a fresh farm, appending one decode-time sample
+/// per op to `decode_us`. Returns false on setup failure.
 bool RunCell(std::uint32_t n, std::uint32_t k, std::size_t value_size,
-             std::size_t ops, std::uint64_t seed, CellResult* out) {
+             std::size_t ops, std::uint64_t seed, CellResult* out,
+             std::vector<double>* decode_us) {
   SimFarm::Options farm_opts;
   farm_opts.seed = seed;
   farm_opts.min_delay_us = 0;
@@ -91,8 +140,10 @@ bool RunCell(std::uint32_t n, std::uint32_t k, std::size_t value_size,
   }
 
   Rng rng(seed);
+  std::string last;
   for (std::size_t i = 0; i < ops; ++i) {
-    reg->Write(RandomValue(rng, value_size));
+    last = RandomValue(rng, value_size);
+    reg->Write(last);
   }
   const std::uint64_t out_after_writes = reg->WireBytesOut();
   const std::uint64_t in_after_writes = reg->WireBytesIn();
@@ -141,7 +192,97 @@ bool RunCell(std::uint32_t n, std::uint32_t k, std::size_t value_size,
                           ? 0
                           : static_cast<double>(out->coded_at_rest) /
                                 static_cast<double>(value_size);
+
+  auto rs = RsCode::Make(n, k);
+  const std::vector<std::string> frags = rs->Encode(last);
+  for (std::size_t i = 0; i < ops; ++i) {
+    const auto start = Clock::now();
+    auto decoded = rs->Decode(LastK(frags, k), last.size());
+    decode_us->push_back(ElapsedUs(start));
+    if (!decoded.ok() || *decoded != last) {
+      std::fprintf(stderr, "decode mismatch at n=%u k=%u size=%zu\n", n, k,
+                   value_size);
+      return false;
+    }
+  }
   return true;
+}
+
+/// Throughput of one kernel path over a value, in MB/s of value bytes.
+struct KernelRow {
+  std::string path;
+  double encode_mb_s = 0;
+  double decode_mb_s = 0;
+};
+
+double MbPerS(std::size_t bytes, std::size_t reps, double us) {
+  return us <= 0 ? 0
+                 : static_cast<double>(bytes) * static_cast<double>(reps) /
+                       us;  // bytes per microsecond == MB/s
+}
+
+KernelRow MeasureKernel(GfKernel kernel, const RsCode& rs,
+                        const std::string& value, std::size_t reps) {
+  KernelRow row;
+  row.path = GfKernelName(kernel);
+  std::vector<std::string> frags;
+  auto start = Clock::now();
+  for (std::size_t i = 0; i < reps; ++i) frags = rs.Encode(value, kernel);
+  row.encode_mb_s = MbPerS(value.size(), reps, ElapsedUs(start));
+  const auto picks = LastK(frags, rs.k());
+  start = Clock::now();
+  for (std::size_t i = 0; i < reps; ++i) {
+    auto decoded = rs.Decode(picks, value.size(), kernel);
+    if (!decoded.ok()) return row;
+  }
+  row.decode_mb_s = MbPerS(value.size(), reps, ElapsedUs(start));
+  return row;
+}
+
+/// True when every kernel encodes bit-identically to the scalar kernel
+/// and decodes back to the value, and slicing-by-8 CRC-32 agrees with the
+/// bytewise oracle on every fragment.
+bool KernelsAgree(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& geometries) {
+  Rng rng(0xA6EE);
+  bool agree = true;
+  for (auto [n, k] : geometries) {
+    auto rs = RsCode::Make(n, k);
+    for (std::size_t size : {0, 1, 31, 33, 1000, 4097, 65536}) {
+      const std::string value = RandomValue(rng, size);
+      const auto scalar = rs->Encode(value, GfKernel::kScalar);
+      for (GfKernel kernel : AvailableGfKernels()) {
+        const auto frags = rs->Encode(value, kernel);
+        auto decoded = rs->Decode(LastK(frags, k), size, kernel);
+        bool ok = frags == scalar && decoded.ok() && *decoded == value;
+        for (const std::string& f : frags) {
+          ok = ok && nadreg::Crc32(f) == nadreg::detail::Crc32Bytewise(f);
+        }
+        if (!ok) {
+          std::fprintf(stderr, "kernel %s disagrees at n=%u k=%u size=%zu\n",
+                       GfKernelName(kernel), n, k, size);
+          agree = false;
+        }
+      }
+    }
+  }
+  return agree;
+}
+
+/// The working directory's commit SHA, suffixed "-dirty" when the tree
+/// has uncommitted changes; "unknown" outside a git checkout.
+std::string GitSha() {
+  std::string sha;
+  if (std::FILE* p =
+          popen("git describe --always --dirty --abbrev=40 2>/dev/null", "r")) {
+    char buf[128] = {};
+    if (std::fgets(buf, sizeof buf, p) != nullptr) sha = buf;
+    pclose(p);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
 }
 
 }  // namespace
@@ -180,12 +321,13 @@ int main(int argc, char** argv) {
               ops, ops, geometries.size(), sizes.size());
 
   std::vector<CellResult> results;
+  std::vector<double> decode_us;
   bool gate_failed = false;
   std::uint64_t seed = 0xC0DED;
   for (auto [n, k] : geometries) {
     for (std::size_t size : sizes) {
       CellResult r;
-      if (!RunCell(n, k, size, ops, seed++, &r)) return 1;
+      if (!RunCell(n, k, size, ops, seed++, &r, &decode_us)) return 1;
       r.gated = check && n == 8 && k == 5 && size >= kGateMinSize;
       const double limit = kGateSlack * r.rate_bound;
       std::printf(
@@ -202,19 +344,62 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto& decode =
-      nadreg::obs::Registry::Global().GetHistogram("core.coded.decode_us");
-  std::printf("  decode: %llu samples, p50 %lluus p90 %lluus p99 %lluus "
-              "max %lluus\n",
-              static_cast<unsigned long long>(decode.Count()),
-              static_cast<unsigned long long>(decode.PercentileUs(50)),
-              static_cast<unsigned long long>(decode.PercentileUs(90)),
-              static_cast<unsigned long long>(decode.PercentileUs(99)),
-              static_cast<unsigned long long>(decode.MaxUs()));
+  std::sort(decode_us.begin(), decode_us.end());
+  const double d50 = Percentile(decode_us, 0.50);
+  const double d90 = Percentile(decode_us, 0.90);
+  const double d99 = Percentile(decode_us, 0.99);
+  const double dmax = decode_us.empty() ? 0 : decode_us.back();
+  std::printf("  decode: %zu samples, p50 %.1fus p90 %.1fus p99 %.1fus "
+              "max %.1fus\n",
+              decode_us.size(), d50, d90, d99, dmax);
+
+  // Kernel throughput on one 64 KiB value, at the benchmark geometries.
+  constexpr std::size_t kKernelValueSize = 65536;
+  const std::size_t reps = ops * 16;
+  Rng rng(0xC4C);
+  const std::string value = RandomValue(rng, kKernelValueSize);
+  auto start = Clock::now();
+  std::uint32_t sink = 0;
+  for (std::size_t i = 0; i < reps; ++i) sink += nadreg::Crc32(value);
+  const double crc_mb_s = MbPerS(value.size(), reps, ElapsedUs(start));
+  start = Clock::now();
+  for (std::size_t i = 0; i < reps; ++i) {
+    sink += nadreg::detail::Crc32Bytewise(value);
+  }
+  const double crc_bytewise_mb_s = MbPerS(value.size(), reps, ElapsedUs(start));
+  std::printf("  crc32 (64 KiB): slicing-by-8 %.0f MB/s, bytewise %.0f MB/s "
+              "(sink %08x)\n",
+              crc_mb_s, crc_bytewise_mb_s, sink);
+  struct GeometryRows {
+    std::uint32_t n, k;
+    std::vector<KernelRow> rows;
+  };
+  std::vector<GeometryRows> kernel_rows;
+  for (auto [n, k] : {std::pair<std::uint32_t, std::uint32_t>{4, 2}, {8, 5}}) {
+    auto rs = RsCode::Make(n, k);
+    GeometryRows g{n, k, {}};
+    for (GfKernel kernel : AvailableGfKernels()) {
+      g.rows.push_back(MeasureKernel(kernel, *rs, value, reps));
+      std::printf("  n=%u k=%u %-6s (64 KiB): encode %.0f MB/s, decode "
+                  "%.0f MB/s\n",
+                  n, k, g.rows.back().path.c_str(), g.rows.back().encode_mb_s,
+                  g.rows.back().decode_mb_s);
+    }
+    kernel_rows.push_back(std::move(g));
+  }
+  const bool kernels_agree = KernelsAgree(geometries);
+  const char* active = GfKernelName(ActiveGfKernel());
+  std::printf("  kernels agree with scalar: %s (emulation ran on %s)\n",
+              kernels_agree ? "yes" : "NO", active);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n  \"bench\": \"micro_coded\",\n");
+    std::fprintf(f,
+                 "  \"provenance\": {\"git_sha\": \"%s\", \"compiler\": "
+                 "\"%s\", \"nproc\": %u, \"gf_kernel\": \"%s\"},\n",
+                 GitSha().c_str(), __VERSION__,
+                 std::thread::hardware_concurrency(), active);
     std::fprintf(f, "  \"ops_per_cell\": %zu,\n", ops);
     std::fprintf(f, "  \"gate\": {\"n\": 8, \"k\": 5, \"min_value_size\": %zu, "
                     "\"max_blowup_over_rate\": %.2f},\n",
@@ -237,13 +422,28 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
-                 "  \"decode_us\": {\"count\": %llu, \"p50\": %llu, "
-                 "\"p90\": %llu, \"p99\": %llu, \"max\": %llu}\n",
-                 static_cast<unsigned long long>(decode.Count()),
-                 static_cast<unsigned long long>(decode.PercentileUs(50)),
-                 static_cast<unsigned long long>(decode.PercentileUs(90)),
-                 static_cast<unsigned long long>(decode.PercentileUs(99)),
-                 static_cast<unsigned long long>(decode.MaxUs()));
+                 "  \"decode_us\": {\"count\": %zu, \"p50\": %.2f, "
+                 "\"p90\": %.2f, \"p99\": %.2f, \"max\": %.2f},\n",
+                 decode_us.size(), d50, d90, d99, dmax);
+    std::fprintf(f,
+                 "  \"kernels\": {\"value_size\": %zu, \"reps\": %zu, "
+                 "\"crc32_mb_s\": {\"slicing_by_8\": %.0f, \"bytewise\": "
+                 "%.0f},\n    \"rs\": [\n",
+                 kKernelValueSize, reps, crc_mb_s, crc_bytewise_mb_s);
+    for (std::size_t g = 0; g < kernel_rows.size(); ++g) {
+      const auto& rows = kernel_rows[g].rows;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const bool last = g + 1 == kernel_rows.size() && i + 1 == rows.size();
+        std::fprintf(f,
+                     "      {\"n\": %u, \"k\": %u, \"path\": \"%s\", "
+                     "\"encode_mb_s\": %.0f, \"decode_mb_s\": %.0f}%s\n",
+                     kernel_rows[g].n, kernel_rows[g].k, rows[i].path.c_str(),
+                     rows[i].encode_mb_s, rows[i].decode_mb_s,
+                     last ? "" : ",");
+      }
+    }
+    std::fprintf(f, "    ],\n    \"agree_with_scalar\": %s}\n",
+                 kernels_agree ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("  artifact: %s\n", out_path);
@@ -255,7 +455,15 @@ int main(int argc, char** argv) {
                  kGateSlack);
     return 1;
   }
-  if (check) std::printf("  check: all gated blowups within %.2f x n/k\n",
-                         kGateSlack);
+  if (check && !kernels_agree) {
+    std::fprintf(stderr, "check FAILED: a GF(2^8) kernel or the CRC-32 "
+                         "disagrees with its scalar oracle\n");
+    return 1;
+  }
+  if (check) {
+    std::printf("  check: all gated blowups within %.2f x n/k; kernels "
+                "agree\n",
+                kGateSlack);
+  }
   return 0;
 }

@@ -18,14 +18,36 @@ constexpr std::uint8_t kPutMagic =
 constexpr std::uint8_t kCommitMagic =
     static_cast<std::uint8_t>(CodedDelta::Kind::kCommit);
 
-std::array<std::uint32_t, 256> MakeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int b = 0; b < 8; ++b) c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
+/// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: t[0] is
+/// the classic bytewise table, and t[j][b] is the CRC update of byte b
+/// followed by j zero bytes, so eight lookups fold eight input bytes.
+struct CrcTables {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+
+  CrcTables() {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int b = 0; b < 8; ++b) {
+        c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[0][i] = c;
+    }
+    for (std::size_t j = 1; j < 8; ++j) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        t[j][i] = (t[j - 1][i] >> 8) ^ t[0][t[j - 1][i] & 0xff];
+      }
+    }
   }
-  return table;
+};
+
+const CrcTables& Crc() {
+  static const CrcTables tables;
+  return tables;
+}
+
+std::uint32_t LoadLe32(const unsigned char* p) {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
 }
 
 void PutTag(Encoder& e, const CodedTag& t) {
@@ -51,7 +73,9 @@ void PutFragment(Encoder& e, const CodedFragment& f) {
   e.PutBytes(f.bytes);
 }
 
-Expected<CodedFragment> GetFragment(Decoder& d) {
+/// Parses one fragment; with `copy_bytes` false the payload is checked
+/// and skipped but not copied (f.bytes stays empty).
+Expected<CodedFragment> GetFragment(Decoder& d, bool copy_bytes = true) {
   CodedFragment f;
   auto tag = GetTag(d);
   if (!tag) return tag.status();
@@ -71,9 +95,9 @@ Expected<CodedFragment> GetFragment(Decoder& d) {
   auto crc = d.GetU32();
   if (!crc) return crc.status();
   f.crc = *crc;
-  auto bytes = d.GetBytes();
+  auto bytes = d.GetBytesView();
   if (!bytes) return bytes.status();
-  f.bytes = std::move(*bytes);
+  if (copy_bytes) f.bytes.assign(*bytes);
   return f;
 }
 
@@ -119,11 +143,31 @@ void Normalize(CodedCell& cell) {
 }  // namespace
 
 std::uint32_t Crc32(std::string_view bytes) {
-  static const std::array<std::uint32_t, 256> table = MakeCrcTable();
+  const auto& t = Crc().t;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t n = bytes.size();
+  std::uint32_t c = 0xffffffffu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ LoadLe32(p);
+    const std::uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
+namespace detail {
+
+std::uint32_t Crc32Bytewise(std::string_view bytes) {
+  const auto& table = Crc().t[0];
   std::uint32_t c = 0xffffffffu;
   for (unsigned char ch : bytes) c = table[(c ^ ch) & 0xff] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
+
+}  // namespace detail
 
 std::string EncodeCodedCell(const CodedCell& cell) {
   std::string out;
@@ -190,14 +234,18 @@ std::string EncodeCodedCommit(const CodedFragment& frag) {
   return out;
 }
 
-Expected<CodedDelta> DecodeCodedDelta(std::string_view bytes) {
+namespace {
+
+/// DecodeCodedDelta, optionally without copying the fragment payload
+/// (it accepts and rejects exactly the same inputs either way).
+Expected<CodedDelta> ParseCodedDelta(std::string_view bytes, bool copy_bytes) {
   Decoder d(bytes);
   auto magic = d.GetU8();
   if (!magic) return magic.status();
   CodedDelta delta;
   if (*magic == kPutMagic) {
     delta.kind = CodedDelta::Kind::kPut;
-    auto f = GetFragment(d);
+    auto f = GetFragment(d, copy_bytes);
     if (!f) return f.status();
     delta.frag = std::move(*f);
   } else if (*magic == kCommitMagic) {
@@ -209,7 +257,7 @@ Expected<CodedDelta> DecodeCodedDelta(std::string_view bytes) {
       if (!t) return t.status();
       delta.tag = *t;
     } else if (*has_frag == 1) {
-      auto f = GetFragment(d);
+      auto f = GetFragment(d, copy_bytes);
       if (!f) return f.status();
       delta.tag = f->tag;
       delta.frag = std::move(*f);
@@ -222,6 +270,22 @@ Expected<CodedDelta> DecodeCodedDelta(std::string_view bytes) {
   }
   if (!d.AtEnd()) return Status::Invalid("coded delta: trailing bytes");
   return delta;
+}
+
+}  // namespace
+
+Expected<CodedDelta> DecodeCodedDelta(std::string_view bytes) {
+  return ParseCodedDelta(bytes, /*copy_bytes=*/true);
+}
+
+bool CodedDeltaSubsumes(std::string_view later, std::string_view earlier) {
+  auto l = ParseCodedDelta(later, /*copy_bytes=*/false);
+  auto e = ParseCodedDelta(earlier, /*copy_bytes=*/false);
+  if (!l.ok() || !e.ok()) return false;
+  const CodedTag e_tag =
+      e->kind == CodedDelta::Kind::kPut ? e->frag.tag : e->tag;
+  return l->kind == CodedDelta::Kind::kCommit && l->has_frag &&
+         e_tag <= l->tag;
 }
 
 Value MergeCodedCell(const Value& current, std::string_view delta) {

@@ -92,8 +92,16 @@ struct CodedDelta {
   bool has_frag = false;  // kCommit: carries the destination's fragment
 };
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
+/// CRC-32 (IEEE 802.3: reflected polynomial 0xEDB88320, initial and final
+/// XOR 0xFFFFFFFF) over `bytes`. Computed slicing-by-8: eight table
+/// lookups per eight input bytes, bit-identical to the bytewise loop.
 std::uint32_t Crc32(std::string_view bytes);
+
+namespace detail {
+/// The one-table, one-byte-per-step CRC-32: Crc32's oracle in tests and
+/// bench/micro_coded.
+std::uint32_t Crc32Bytewise(std::string_view bytes);
+}  // namespace detail
 
 std::string EncodeCodedCell(const CodedCell& cell);
 /// The empty string (register initial value) decodes to the empty cell.
@@ -111,6 +119,18 @@ std::string EncodeCodedCommit(const CodedTag& tag);
 /// of an in-flight tag re-propagates the fragments it decoded from.
 std::string EncodeCodedCommit(const CodedFragment& frag);
 [[nodiscard]] Expected<CodedDelta> DecodeCodedDelta(std::string_view bytes);
+
+/// True when merging `later` alone leaves any cell exactly as merging
+/// `earlier` and then `later` does, so a queue may drop `earlier` once
+/// `later` is queued behind it for the same disk. The rule: a
+/// fragment-carrying Commit(T) subsumes a Put(t) or Commit(t) with
+/// t <= T. Commit(T) raises the committed tag to >= T and prunes every
+/// fragment below it, so nothing `earlier` installs survives, except the
+/// fragment of T itself, which `later` re-installs; and an eviction the
+/// pending cap makes when a Put(t) lands removes only tags <= t, which
+/// Commit(T) prunes anyway (DESIGN.md §16). False when either delta does
+/// not decode. Parses headers only: fragment payloads are not copied.
+bool CodedDeltaSubsumes(std::string_view later, std::string_view earlier);
 
 /// The cell join applied at a disk's linearization point:
 /// decode(current) ⊔ delta, re-encoded. Total on corrupt input (see the

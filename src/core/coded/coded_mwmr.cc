@@ -140,8 +140,12 @@ CodedMwmr::ReadAttempt CodedMwmr::AttemptRead(OpDeadline deadline) {
     out.timed_out = true;
     return out;
   }
-  // Keep the results alive: candidate fragment views alias these Values.
   const auto results = ticket.Results();
+  // Candidate fragment views alias these cells' fragment bytes. Reserved
+  // up front, so no insertion relocates a cell already viewed; the views
+  // die with the attempt.
+  std::vector<CodedCell> cells;
+  cells.reserve(results.size());
   CodedTag t_star;  // max committed tag across the quorum
   struct Candidate {
     std::vector<std::pair<unsigned, std::string_view>> frags;
@@ -150,10 +154,11 @@ CodedMwmr::ReadAttempt CodedMwmr::AttemptRead(OpDeadline deadline) {
   std::map<CodedTag, Candidate> candidates;
   for (const auto& [idx, bytes] : results) {
     wire_bytes_in_ += bytes.size();
-    auto cell = DecodeCodedCell(bytes);
-    if (!cell.ok()) continue;
-    t_star = std::max(t_star, cell->committed);
-    for (const CodedFragment& f : cell->frags) {
+    auto decoded = DecodeCodedCell(bytes);
+    if (!decoded.ok()) continue;
+    const CodedCell& cell = cells.emplace_back(std::move(*decoded));
+    t_star = std::max(t_star, cell.committed);
+    for (const CodedFragment& f : cell.frags) {
       // Reject wrong-geometry or corrupted fragments before they can
       // reach the decoder.
       if (f.n != opts_.n || f.k != opts_.k) continue;
@@ -163,12 +168,7 @@ CodedMwmr::ReadAttempt CodedMwmr::AttemptRead(OpDeadline deadline) {
       for (const auto& [seen, unused] : c.frags) dup |= (seen == f.index);
       if (dup) continue;
       c.value_size = f.value_size;
-      // The view aliases cell->frags — copy the bytes somewhere stable.
-      // Candidates are few (<= pending cap per cell), so materializing
-      // them here is the simplest ownership story.
-      c.frags.emplace_back(f.index, std::string_view{});
-      owned_.push_back(f.bytes);
-      c.frags.back().second = owned_.back();
+      c.frags.emplace_back(f.index, f.bytes);
     }
   }
   // Highest tag >= t* decodable from this quorum's responses. A tag above
@@ -201,7 +201,6 @@ CodedMwmr::ReadAttempt CodedMwmr::AttemptRead(OpDeadline deadline) {
 Expected<std::optional<std::string>> CodedMwmr::Read(const OpOptions& opts) {
   const OpDeadline deadline = opts.Start();
   for (;;) {
-    owned_.clear();
     ReadAttempt attempt = AttemptRead(deadline);
     if (attempt.timed_out) {
       ++timeouts_;

@@ -49,7 +49,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -153,9 +152,6 @@ class CodedMwmr : public obs::Instrumented {
   // unique_ptr: RegisterSet is pinned (self-referencing completion
   // closures), while the endpoint itself stays movable for Expected<>.
   std::unique_ptr<RegisterSet> set_;
-  // Stable backing for one read attempt's candidate fragment views
-  // (deque: growth never relocates elements, so views stay valid).
-  std::deque<std::string> owned_;
   std::uint64_t reads_done_ = 0;
   std::uint64_t writes_done_ = 0;
   std::uint64_t timeouts_ = 0;

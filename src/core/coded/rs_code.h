@@ -14,10 +14,17 @@
 /// 0..n-1, reduction polynomial 0x11d) post-multiplied by the inverse of
 /// its top k x k block, making the top k rows the identity — fragments
 /// 0..k-1 are verbatim slices of the value (systematic), and any k rows of
-/// the generator remain invertible. Pure C++, no dependencies, table-driven
-/// field arithmetic.
+/// the generator remain invertible. Pure C++, no dependencies.
+///
+/// Field arithmetic: the log/exp tables build the generator and decode
+/// matrices; the bulk work is one kernel, detail::MulAdd (out ^= c * in
+/// over a byte run), picked once per process. On x86-64 with AVX2 it looks
+/// up both nibbles of 32 bytes at a time with `pshufb`; elsewhere it
+/// indexes a 64 KiB product table. Data fragments are plain copies, and a
+/// decode from the k data fragments is a plain copy too.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -27,6 +34,29 @@
 #include "common/status.h"
 
 namespace nadreg::core {
+
+namespace detail {
+
+/// A GF(2^8) multiply-accumulate kernel. Both produce identical bytes;
+/// RsCode runs on ActiveGfKernel(), and tests and bench/micro_coded name
+/// each one to check it against the other and against GfMulReference.
+enum class GfKernel : std::uint8_t { kScalar, kAvx2 };
+
+/// The kernels this CPU runs, kScalar first.
+std::vector<GfKernel> AvailableGfKernels();
+/// The fastest available kernel (chosen once per process).
+GfKernel ActiveGfKernel();
+const char* GfKernelName(GfKernel kernel);
+
+/// out[i] ^= c * in[i] in GF(2^8) for i < len, on `kernel` (which must be
+/// available). `in` and `out` must not overlap.
+void MulAdd(GfKernel kernel, std::uint8_t c, const std::uint8_t* in,
+            std::uint8_t* out, std::size_t len);
+
+/// The log/exp product every table is built from: the kernels' oracle.
+std::uint8_t GfMulReference(std::uint8_t a, std::uint8_t b);
+
+}  // namespace detail
 
 /// An immutable (n, k) systematic Reed–Solomon code. Cheap to copy; all
 /// methods are const and thread-safe.
@@ -51,7 +81,9 @@ class RsCode {
   /// Encodes `value` into n fragments of FragmentSize(value.size()) bytes
   /// each (the last data shard is zero-padded). Fragments 0..k-1 are
   /// verbatim slices of `value` (systematic).
-  std::vector<std::string> Encode(std::string_view value) const;
+  std::vector<std::string> Encode(std::string_view value) const {
+    return Encode(value, detail::ActiveGfKernel());
+  }
 
   /// Reconstructs the original value from any k fragments, given as
   /// (fragment index, fragment bytes) pairs. Requires >= k entries with
@@ -60,15 +92,27 @@ class RsCode {
   /// ignored. Fails (never crashes) on malformed input.
   Expected<std::string> Decode(
       const std::vector<std::pair<unsigned, std::string_view>>& frags,
-      std::size_t value_size) const;
+      std::size_t value_size) const {
+    return Decode(frags, value_size, detail::ActiveGfKernel());
+  }
+
+  /// Encode and Decode on a named kernel: the entry point through which
+  /// tests and bench/micro_coded compare the kernels.
+  std::vector<std::string> Encode(std::string_view value,
+                                  detail::GfKernel kernel) const;
+  Expected<std::string> Decode(
+      const std::vector<std::pair<unsigned, std::string_view>>& frags,
+      std::size_t value_size, detail::GfKernel kernel) const;
+
+  /// Generator entry (row, col): fragment `row` is the sum over col of
+  /// Coefficient(row, col) * data shard col.
+  std::uint8_t Coefficient(unsigned row, unsigned col) const {
+    return gen_[row * k_ + col];
+  }
 
  private:
   RsCode(unsigned n, unsigned k, std::vector<std::uint8_t> gen)
       : n_(n), k_(k), gen_(std::move(gen)) {}
-
-  std::uint8_t Gen(unsigned row, unsigned col) const {
-    return gen_[row * k_ + col];
-  }
 
   unsigned n_;
   unsigned k_;

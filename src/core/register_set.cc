@@ -1,13 +1,37 @@
 #include "core/register_set.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <iterator>
 
+#include "common/coded_cell.h"
 #include "common/quorum_wait.h"
 #include "common/sync.h"
 #include "obs/metrics.h"
 
 namespace nadreg::core {
+
+namespace {
+
+// What bounding lagging queues saved, process-wide: completions that found
+// their ticket gone, queued reads never issued, queued merges absorbed by
+// a later one.
+struct QueueBoundCounters {
+  obs::Counter& late_completions =
+      obs::Registry::Global().GetCounter("core.late_completions");
+  obs::Counter& reads_dropped =
+      obs::Registry::Global().GetCounter("core.reads_dropped");
+  obs::Counter& merges_compacted =
+      obs::Registry::Global().GetCounter("core.merges_compacted");
+};
+
+const QueueBoundCounters& QueueBound() {
+  static const QueueBoundCounters counters;
+  return counters;
+}
+
+}  // namespace
 
 struct RegisterSet::Ticket::State {
   // Part p (one per set of the round) owns the result slots
@@ -51,11 +75,11 @@ struct RegisterSet::Ticket::State {
   // notified: when this completion leaves it one short — so the waiter is
   // back on a CPU when the last one lands — and when it satisfies it. A
   // round of hundreds of ops thus wakes its waiter twice, not per op.
-  bool Complete(std::size_t part, std::size_t i,
-                const std::optional<Value>& v) REQUIRES(mu) {
+  bool Complete(std::size_t part, std::size_t i, std::optional<Value> v)
+      REQUIRES(mu) {
     std::optional<Value>& slot = results[parts[part].begin + i];
     if (slot) return false;
-    slot = v ? *v : Value{};
+    slot = v ? std::move(*v) : Value{};
     if (parts[part].completed++ >= need) return false;  // part already at k
     return --short_by <= 1;
   }
@@ -80,17 +104,28 @@ std::vector<std::pair<std::size_t, Value>> RegisterSet::Ticket::Results(
 
 struct RegisterSet::Shared : std::enable_shared_from_this<RegisterSet::Shared> {
   enum class Kind { kRead, kWrite, kMerge };
-  // One ticket part waiting on an op of this set.
+  // One ticket part waiting on an op of this set. Weak: once the caller
+  // drops the ticket, a completion stores nothing, so an op still pending
+  // at a lagging disk pins no finished round's results.
   struct Subscriber {
-    std::shared_ptr<Ticket::State> ticket;
+    std::weak_ptr<Ticket::State> ticket;
     std::size_t part = 0;
   };
   struct QueuedOp {
     Kind kind = Kind::kRead;
     Value value;  // writes and merges only (a merge's delta)
     // Ticket parts to notify on completion. Reads may have several
-    // (coalesced).
+    // (coalesced), and so may a merge that absorbed subsumed ones.
     std::vector<Subscriber> subscribers;
+
+    // A read no live ticket waits on has no effect worth issuing.
+    bool abandoned_read() const {
+      return kind == Kind::kRead &&
+             std::all_of(subscribers.begin(), subscribers.end(),
+                         [](const Subscriber& s) {
+                           return s.ticket.expired();
+                         });
+    }
   };
   struct Slot {
     bool busy = false;
@@ -135,13 +170,48 @@ struct RegisterSet::Shared : std::enable_shared_from_this<RegisterSet::Shared> {
     }
   }
 
+  // Bounds a lagging register's queue, run whenever it grows or chains:
+  // drops every queued read whose tickets are all gone (a read has no
+  // side effect), so a register that lags behind finished ops does not
+  // accumulate their reads.
+  void DropAbandonedReads(Slot& slot) REQUIRES(mu) {
+    const std::size_t dropped = std::erase_if(
+        slot.queue, [](const QueuedOp& op) { return op.abandoned_read(); });
+    if (dropped == 0) return;
+    g_pending_depth->Add(-static_cast<std::int64_t>(dropped));
+    QueueBound().reads_dropped.Inc(dropped);
+  }
+
+  // Removes every queued merge that `merge` subsumes (CodedDeltaSubsumes:
+  // applying `merge` alone leaves the cell as applying both would) and
+  // hands their subscribers to `merge`, which completes them. So a
+  // lagging register holds at most the merges no later one covers.
+  void CompactMerges(Slot& slot, QueuedOp& merge) REQUIRES(mu) {
+    std::size_t compacted = 0;
+    for (auto it = slot.queue.begin(); it != slot.queue.end();) {
+      if (it->kind != Kind::kMerge ||
+          !CodedDeltaSubsumes(merge.value, it->value)) {
+        ++it;
+        continue;
+      }
+      std::move(it->subscribers.begin(), it->subscribers.end(),
+                std::back_inserter(merge.subscribers));
+      it = slot.queue.erase(it);
+      ++compacted;
+    }
+    if (compacted == 0) return;
+    g_pending_depth->Add(-static_cast<std::int64_t>(compacted));
+    QueueBound().merges_compacted.Inc(compacted);
+  }
+
   // This set's share of a round, with the paper's pending-write discipline
   // per register: claims every free slot (returned — the caller puts them
   // into the round's one vectored call) and queues the rest behind their
   // pending op, to be chained from OnComplete. A fresh read coalesces with
   // a queued (unissued) read — one that has not been issued yet is as
-  // fresh as a new one; writes and merges never coalesce. `payload(i)` is
-  // register i's value for a queued write or merge.
+  // fresh as a new one; writes never coalesce, and a merge replaces the
+  // queued merges it subsumes. `payload(i)` is register i's value for a
+  // queued write or merge.
   template <typename Payload>
   std::vector<std::size_t> Gather(const Subscriber& sub, Kind kind,
                                   Payload&& payload) {
@@ -165,6 +235,7 @@ struct RegisterSet::Shared : std::enable_shared_from_this<RegisterSet::Shared> {
         to_issue.push_back(i);
         continue;
       }
+      DropAbandonedReads(slot);
       if (kind == Kind::kRead && !slot.queue.empty() &&
           slot.queue.back().kind == Kind::kRead) {
         slot.queue.back().subscribers.push_back(sub);
@@ -174,6 +245,7 @@ struct RegisterSet::Shared : std::enable_shared_from_this<RegisterSet::Shared> {
       op.kind = kind;
       if (kind != Kind::kRead) op.value = payload(i);
       op.subscribers = {sub};
+      if (kind == Kind::kMerge) CompactMerges(slot, op);
       slot.queue.push_back(std::move(op));
       NoteQueued(slot.queue.size());
     }
@@ -217,14 +289,21 @@ struct RegisterSet::Shared : std::enable_shared_from_this<RegisterSet::Shared> {
 
   void OnComplete(std::size_t i, std::span<const Subscriber> subs,
                   std::optional<Value> read_value) {
-    for (const Subscriber& sub : subs) {
-      Ticket::State& t = *sub.ticket;
+    for (std::size_t s = 0; s < subs.size(); ++s) {
+      const std::shared_ptr<Ticket::State> t = subs[s].ticket.lock();
+      if (!t) {
+        QueueBound().late_completions.Inc();
+        continue;
+      }
+      // The last subscriber takes the value; coalesced ones get copies.
+      std::optional<Value> v =
+          s + 1 == subs.size() ? std::move(read_value) : read_value;
       bool satisfied;
       {
-        MutexLock lock(t.mu);
-        satisfied = t.Complete(sub.part, i, read_value);
+        MutexLock lock(t->mu);
+        satisfied = t->Complete(subs[s].part, i, std::move(v));
       }
-      if (satisfied) t.cv.NotifyAll();
+      if (satisfied) t->cv.NotifyAll();
     }
     // Tell a deterministic scheduler a completion for this process ran
     // (quiescence accounting; no-op on real backends). After the
@@ -238,6 +317,7 @@ struct RegisterSet::Shared : std::enable_shared_from_this<RegisterSet::Shared> {
     {
       MutexLock lock(mu);
       Slot& slot = slots[i];
+      DropAbandonedReads(slot);
       if (slot.queue.empty()) {
         slot.busy = false;
       } else {
@@ -329,8 +409,9 @@ RegisterSet::Ticket RegisterSet::MergeEach(std::vector<Value> deltas) {
   ticket.state_ = Ticket::State::Make(1, [&](std::size_t) { return size(); });
   Shared& sh = *shared_;
   const Shared::Subscriber sub{ticket.state_, 0};
-  // Register i receives its own delta; queued merges never coalesce —
-  // every delta must take effect for the cell join to converge.
+  // Register i receives its own delta. A queued merge is dropped only
+  // when a later one subsumes it (Gather), so every delta's effect still
+  // reaches the cell.
   std::vector<BaseRegisterClient::WriteOp> ops;
   ops.reserve(deltas.size());
   for (std::size_t i : sh.Gather(sub, Shared::Kind::kMerge, [&](std::size_t j) {

@@ -12,9 +12,18 @@
 /// crashed register therefore stalls its queue forever — and the quorum
 /// waits never require it, which is what keeps the algorithms wait-free.
 ///
-/// Consecutive queued reads are coalesced (a queued-but-unissued read is
-/// indistinguishable from a fresh one), so a loop of READ phases over a
-/// crashed register uses O(1) memory.
+/// A lagging register's queue stays bounded by what is still live:
+///  - consecutive queued reads are coalesced (a queued-but-unissued read
+///    is indistinguishable from a fresh one), and a queued read whose
+///    tickets were all dropped is never issued — a read has no side
+///    effect — so a loop of READ phases over a crashed register uses O(1)
+///    memory;
+///  - a queued merge is replaced by a later merge that subsumes it
+///    (CodedDeltaSubsumes), which completes its tickets in its stead;
+///  - tickets are held weakly: a completion whose ticket is gone stores
+///    nothing, so an op finished at a quorum pins none of its results
+///    while its slowest register is still outstanding.
+/// Writes never coalesce: each one is the paper's pending write.
 ///
 /// A phase's immediately-issuable registers go to the client in one
 /// vectored IssueReads/IssueWrites call, so the TCP backend sends the
@@ -107,8 +116,10 @@ class RegisterSet : public obs::Instrumented {
   /// delta per base register — the coded write phase's fan-out, where
   /// register i receives fragment i's Put delta. `deltas` must have one
   /// entry per register. Requires client.SupportsMerge(); merges follow
-  /// the same pending-op discipline as writes (no coalescing — every
-  /// delta must take effect).
+  /// the same pending-op discipline as writes, except that a queued merge
+  /// is dropped when a later merge to its register subsumes it (its
+  /// ticket then completes with the later one): the join makes every
+  /// delta's effect reach the cell either way.
   Ticket MergeEach(std::vector<Value> deltas);
 
   /// Blocks until at least `k` operations of EVERY part of the ticket

@@ -2,7 +2,9 @@
 /// Test decorator over a BaseRegisterClient that counts the vectored issue
 /// calls — one IssueReads/IssueWrites call is one quorum round — and keeps
 /// the registers of every IssueReads call, so a test can assert how many
-/// rounds an operation took and which registers each round covered.
+/// rounds an operation took and which registers each round covered. It
+/// also counts single IssueRead calls: the reads a register chains from
+/// its pending queue.
 #pragma once
 
 #include <cstddef>
@@ -29,13 +31,22 @@ class CountingClient final : public BaseRegisterClient {
     MutexLock lock(mu_);
     return write_calls_;
   }
+  std::size_t SingleReads() const {
+    MutexLock lock(mu_);
+    return single_reads_;
+  }
   void Reset() {
     MutexLock lock(mu_);
     read_rounds_.clear();
     write_calls_ = 0;
+    single_reads_ = 0;
   }
 
   void IssueRead(ProcessId p, RegisterId r, ReadHandler done) override {
+    {
+      MutexLock lock(mu_);
+      ++single_reads_;
+    }
     inner_.IssueRead(p, r, std::move(done));
   }
   void IssueWrite(ProcessId p, RegisterId r, Value v,
@@ -74,6 +85,7 @@ class CountingClient final : public BaseRegisterClient {
   mutable Mutex mu_;
   std::vector<std::vector<RegisterId>> read_rounds_ GUARDED_BY(mu_);
   std::size_t write_calls_ GUARDED_BY(mu_) = 0;
+  std::size_t single_reads_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace nadreg::testutil

@@ -1,6 +1,7 @@
 // Unit tests for the quorum engine: ticket completion counting, quorum
 // waits, the pending-write chaining discipline (paper footnotes 3/6/7),
-// read coalescing, and crash tolerance.
+// read coalescing, the bounds on a lagging register's queue, and crash
+// tolerance.
 #include "core/register_set.h"
 
 #include <gtest/gtest.h>
@@ -9,8 +10,10 @@
 #include <chrono>
 #include <thread>
 
+#include "common/coded_cell.h"
 #include "core/config.h"
 #include "counting_client.h"
+#include "obs/metrics.h"
 #include "sim/det_farm.h"
 #include "sim/sim_farm.h"
 
@@ -240,6 +243,113 @@ TEST(RegisterSet, WriteAllOfQueuesBehindPendingWrites) {
   for (const auto& r : busy.registers()) EXPECT_EQ(farm.Peek(r), "a");
   for (const auto& r : idle.registers()) EXPECT_EQ(farm.Peek(r), "b");
   EXPECT_EQ(farm.stats().writes_issued, 9u);  // writes never coalesce
+}
+
+std::uint64_t GlobalCount(const char* name) {
+  return obs::Registry::Global().GetCounter(name).Get();
+}
+
+TEST(RegisterSet, LateCompletionRetainsNoValue) {
+  // A round finished at a quorum must not pin its results while its
+  // slowest register is still outstanding: once the caller drops the
+  // ticket, the late completion finds no ticket state to store into.
+  DetFarm farm;
+  auto regs = ThreeRegs();
+  RegisterSet set(farm, 1, regs);
+  const Value big(1 << 20, 'v');
+  for (const auto& r : regs) farm.IssueWrite(99, r, big, nullptr);
+  farm.DeliverAll();
+
+  {
+    auto t = set.ReadAll();
+    auto ops = farm.Pending();
+    ASSERT_EQ(ops.size(), 3u);
+    farm.Deliver(ops[0].id);
+    farm.Deliver(ops[1].id);
+    ASSERT_TRUE(set.Await(t, 2, 100ms));
+    EXPECT_EQ(t.Results().size(), 2u);
+  }  // the ticket, and with it both 1 MiB results, is gone here
+  const std::uint64_t late_before = GlobalCount("core.late_completions");
+  ASSERT_EQ(farm.Pending().size(), 1u);
+  farm.DeliverAll();
+  EXPECT_EQ(GlobalCount("core.late_completions"), late_before + 1);
+
+  // A ticket still held receives its late completion as before.
+  auto kept = set.ReadAll();
+  farm.DeliverAll();
+  ASSERT_EQ(kept.Completed(), 3u);
+  for (const auto& [idx, v] : kept.Results()) EXPECT_EQ(v, big);
+}
+
+TEST(RegisterSet, AbandonedQueuedReadIsNeverIssued) {
+  // A read has no side effect, so a queued read whose every ticket was
+  // dropped is removed when its register chains, instead of being issued
+  // behind a lagging op.
+  DetFarm farm;
+  testutil::CountingClient client(farm);
+  RegisterSet set(client, 1, ThreeRegs());
+  auto first = set.ReadAll();  // issued in one vectored call
+  { auto abandoned = set.ReadAll(); }  // queued, then dropped
+  farm.DeliverAll();
+  ASSERT_TRUE(set.Await(first, 3, 100ms));
+  EXPECT_EQ(client.SingleReads(), 0u);
+  EXPECT_EQ(farm.stats().reads_issued, 3u);
+
+  // A queued read some ticket still waits on is issued when it chains.
+  auto again = set.ReadAll();
+  auto queued = set.ReadAll();
+  farm.DeliverAll();
+  ASSERT_TRUE(set.Await(queued, 3, 100ms));
+  EXPECT_EQ(client.SingleReads(), 3u);
+}
+
+CodedFragment Fragment(SeqNum seq, std::uint8_t index) {
+  CodedFragment f;
+  f.tag = CodedTag{seq, 1};
+  f.index = index;
+  f.n = 3;
+  f.k = 1;
+  f.bytes = "fragment-" + std::to_string(seq);
+  f.value_size = static_cast<std::uint32_t>(f.bytes.size());
+  f.crc = Crc32(f.bytes);
+  return f;
+}
+
+std::vector<Value> Deltas(std::string (*encode)(const CodedFragment&),
+                          SeqNum seq) {
+  std::vector<Value> out;
+  for (std::uint8_t i = 0; i < 3; ++i) out.push_back(encode(Fragment(seq, i)));
+  return out;
+}
+
+TEST(RegisterSet, SubsumedQueuedMergeIsDroppedAndItsTicketCompletes) {
+  // Behind a busy register, a queued Put(2) is subsumed by the
+  // fragment-carrying Commit(2) queued after it: the commit replaces it,
+  // and the Put's ticket completes when the commit does.
+  DetFarm farm;
+  RegisterSet set(farm, 1, ThreeRegs());
+  auto put1 = set.MergeEach(Deltas(&EncodeCodedPut, 1));  // issued
+  auto put2 = set.MergeEach(Deltas(&EncodeCodedPut, 2));  // queued
+  const std::uint64_t compacted_before = GlobalCount("core.merges_compacted");
+  auto commit2 = set.MergeEach(Deltas(&EncodeCodedCommit, 2));  // replaces
+  EXPECT_EQ(GlobalCount("core.merges_compacted"), compacted_before + 3);
+  // A Put never subsumes, so a later Put(3) queues behind the commit.
+  auto put3 = set.MergeEach(Deltas(&EncodeCodedPut, 3));
+  farm.DeliverAll();
+
+  EXPECT_EQ(put1.Completed(), 3u);
+  EXPECT_EQ(put2.Completed(), 3u);
+  EXPECT_EQ(commit2.Completed(), 3u);
+  EXPECT_EQ(put3.Completed(), 3u);
+  EXPECT_EQ(farm.stats().writes_issued, 9u);  // 12 merges, 3 compacted
+  for (std::size_t i = 0; i < 3; ++i) {
+    auto cell = DecodeCodedCell(farm.Peek(set.registers()[i]));
+    ASSERT_TRUE(cell.ok());
+    EXPECT_EQ(cell->committed, (CodedTag{2, 1}));
+    ASSERT_EQ(cell->frags.size(), 2u);  // committed 2 and pending 3
+    EXPECT_EQ(cell->frags[0], Fragment(2, static_cast<std::uint8_t>(i)));
+    EXPECT_EQ(cell->frags[1], Fragment(3, static_cast<std::uint8_t>(i)));
+  }
 }
 
 TEST(RegisterSet, TwoProcessesHaveIndependentChains) {

@@ -1,8 +1,10 @@
 // Unit tests for the Reed–Solomon fragment codec and the coded-cell
-// semilattice: round-trips over an (n, k) grid, every erasure pattern up
-// to n-k losses, corrupted-fragment rejection, and the merge laws
-// (commutativity, idempotence, commit pruning, pending-tag cap) that make
-// retransmitted deltas harmless.
+// semilattice: the GF(2^8) kernels and CRC-32 against their bytewise
+// oracles, golden fragments, round-trips over an (n, k) grid on every
+// kernel, every erasure pattern up to n-k losses, corrupted-fragment
+// rejection, the merge laws (commutativity, idempotence, commit pruning,
+// pending-tag cap) that make retransmitted deltas harmless, and the
+// subsumption rule that lets a queue drop a redundant delta.
 #include "core/coded/rs_code.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 namespace nadreg::core {
 namespace {
 
+using detail::GfKernel;
+
 std::string RandomValue(Rng& rng, std::size_t size) {
   std::string v(size, '\0');
   for (char& c : v) c = static_cast<char>(rng.Below(256));
@@ -29,6 +33,80 @@ std::vector<std::pair<unsigned, std::string_view>> Pick(
   std::vector<std::pair<unsigned, std::string_view>> out;
   for (unsigned i : idx) out.emplace_back(i, frags[i]);
   return out;
+}
+
+TEST(RsCode, MulAddMatchesOracleOnEveryKernel) {
+  // Every coefficient, every length 0..67 (two AVX2 blocks plus every
+  // tail), and every input and output offset 0..31. Output offset
+  // (7 * in_off + c + len) mod 32 runs through all 32 values as len does,
+  // so each coefficient meets every (input offset, output offset) pair and
+  // every (length, input offset) pair.
+  Rng rng(3);
+  std::vector<std::uint8_t> in(32 + 68), out0(32 + 68);
+  for (auto& b : in) b = static_cast<std::uint8_t>(rng.Below(256));
+  for (auto& b : out0) b = static_cast<std::uint8_t>(rng.Below(256));
+  for (GfKernel kernel : detail::AvailableGfKernels()) {
+    SCOPED_TRACE(detail::GfKernelName(kernel));
+    for (unsigned c = 0; c < 256; ++c) {
+      for (std::size_t len = 0; len <= 67; ++len) {
+        for (std::size_t in_off = 0; in_off < 32; ++in_off) {
+          const std::size_t out_off = (7 * in_off + c + len) % 32;
+          std::vector<std::uint8_t> out = out0, expect = out0;
+          detail::MulAdd(kernel, static_cast<std::uint8_t>(c),
+                         in.data() + in_off, out.data() + out_off, len);
+          for (std::size_t i = 0; i < len; ++i) {
+            expect[out_off + i] ^= detail::GfMulReference(
+                static_cast<std::uint8_t>(c), in[in_off + i]);
+          }
+          ASSERT_EQ(out, expect)
+              << "c=" << c << " len=" << len << " in_off=" << in_off;
+        }
+      }
+    }
+  }
+}
+
+TEST(RsCode, EncodeIsBitIdenticalToOracle) {
+  // Golden fragments of a fixed 64 KiB value: every kernel's Encode must
+  // equal the byte-at-a-time log/exp encoding, and the fragments' CRCs
+  // are pinned, so the on-disk format cannot drift.
+  std::string value(64 * 1024, '\0');
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    value[i] = static_cast<char>((i * 2654435761u) >> 24);
+  }
+  const std::vector<std::pair<std::pair<unsigned, unsigned>,
+                              std::vector<std::uint32_t>>>
+      golden = {
+          {{4, 2}, {0x1110f146, 0xbfe405af, 0xd74905a2, 0x79bdf14b}},
+          {{8, 5},
+           {0x4f54a6bd, 0x620ccdb6, 0x7ed0be30, 0x29b175af, 0x4bc899ed,
+            0x3bcf076c, 0xed6b4557, 0xe7557b42}},
+      };
+  for (const auto& [geometry, crcs] : golden) {
+    const auto [n, k] = geometry;
+    auto rs = RsCode::Make(n, k);
+    ASSERT_TRUE(rs.ok());
+    const std::size_t s = rs->FragmentSize(value.size());
+    std::vector<std::string> oracle(n, std::string(s, '\0'));
+    for (unsigned row = 0; row < n; ++row) {
+      for (std::size_t b = 0; b < s; ++b) {
+        std::uint8_t acc = 0;
+        for (unsigned i = 0; i < k; ++i) {
+          const std::size_t off = i * s + b;
+          const auto byte = off < value.size()
+                                ? static_cast<std::uint8_t>(value[off])
+                                : std::uint8_t{0};
+          acc ^= detail::GfMulReference(rs->Coefficient(row, i), byte);
+        }
+        oracle[row][b] = static_cast<char>(acc);
+      }
+      EXPECT_EQ(Crc32(oracle[row]), crcs[row]) << n << "/" << k << " " << row;
+    }
+    for (GfKernel kernel : detail::AvailableGfKernels()) {
+      EXPECT_EQ(rs->Encode(value, kernel), oracle)
+          << n << "/" << k << " on " << detail::GfKernelName(kernel);
+    }
+  }
 }
 
 TEST(RsCode, RejectsBadGeometry) {
@@ -64,21 +142,33 @@ TEST(RsCode, RoundTripGrid) {
   const std::vector<std::pair<unsigned, unsigned>> grid = {
       {1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {6, 4}, {8, 5}, {12, 8}};
   const std::vector<std::size_t> sizes = {0, 1, 4, 16, 63, 64, 65, 1000};
-  for (auto [n, k] : grid) {
-    auto rs = RsCode::Make(n, k);
-    ASSERT_TRUE(rs.ok()) << n << "/" << k;
-    for (std::size_t size : sizes) {
-      const std::string value = RandomValue(rng, size);
-      auto frags = rs->Encode(value);
-      ASSERT_EQ(frags.size(), n);
-      // Decode from the first k fragments and from the last k fragments.
-      std::vector<unsigned> first, last;
-      for (unsigned i = 0; i < k; ++i) first.push_back(i);
-      for (unsigned i = n - k; i < n; ++i) last.push_back(i);
-      for (const auto& idx : {first, last}) {
-        auto decoded = rs->Decode(Pick(frags, idx), size);
-        ASSERT_TRUE(decoded.ok()) << n << "/" << k << " size " << size;
-        EXPECT_EQ(*decoded, value);
+  for (GfKernel kernel : detail::AvailableGfKernels()) {
+    SCOPED_TRACE(detail::GfKernelName(kernel));
+    for (auto [n, k] : grid) {
+      auto rs = RsCode::Make(n, k);
+      ASSERT_TRUE(rs.ok()) << n << "/" << k;
+      for (std::size_t size : sizes) {
+        const std::string value = RandomValue(rng, size);
+        auto frags = rs->Encode(value, kernel);
+        ASSERT_EQ(frags.size(), n);
+        // Decode from the first k fragments (the plain-copy path), the
+        // last k, and a mix of data and parity.
+        std::vector<unsigned> first, last, mixed;
+        for (unsigned i = 0; i < k; ++i) first.push_back(i);
+        for (unsigned i = n - k; i < n; ++i) last.push_back(i);
+        for (unsigned i = 0; i < k; ++i) mixed.push_back((2 * i + 1) % n);
+        std::sort(mixed.begin(), mixed.end());
+        mixed.erase(std::unique(mixed.begin(), mixed.end()), mixed.end());
+        for (unsigned i = 0; mixed.size() < k; ++i) {
+          if (std::find(mixed.begin(), mixed.end(), i) == mixed.end()) {
+            mixed.push_back(i);
+          }
+        }
+        for (const auto& idx : {first, last, mixed}) {
+          auto decoded = rs->Decode(Pick(frags, idx), size, kernel);
+          ASSERT_TRUE(decoded.ok()) << n << "/" << k << " size " << size;
+          EXPECT_EQ(*decoded, value);
+        }
       }
     }
   }
@@ -89,25 +179,28 @@ TEST(RsCode, EveryErasurePatternUpToNMinusKLosses) {
   ASSERT_TRUE(rs.ok());
   Rng rng(99);
   const std::string value = RandomValue(rng, 333);
-  auto frags = rs->Encode(value);
-  // Every 5-of-8 subset (= every erasure pattern of up to 3 losses) must
-  // reconstruct: C(8,5) = 56 subsets.
-  std::vector<unsigned> idx = {0, 1, 2, 3, 4};
-  int subsets = 0;
-  std::vector<bool> mask(8, false);
-  std::fill(mask.begin(), mask.begin() + 5, true);
-  std::sort(mask.begin(), mask.end());
-  do {
-    idx.clear();
-    for (unsigned i = 0; i < 8; ++i) {
-      if (mask[i]) idx.push_back(i);
-    }
-    auto decoded = rs->Decode(Pick(frags, idx), value.size());
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(*decoded, value);
-    ++subsets;
-  } while (std::next_permutation(mask.begin(), mask.end()));
-  EXPECT_EQ(subsets, 56);
+  for (GfKernel kernel : detail::AvailableGfKernels()) {
+    SCOPED_TRACE(detail::GfKernelName(kernel));
+    auto frags = rs->Encode(value, kernel);
+    // Every 5-of-8 subset (= every erasure pattern of up to 3 losses)
+    // must reconstruct: C(8,5) = 56 subsets.
+    std::vector<unsigned> idx;
+    int subsets = 0;
+    std::vector<bool> mask(8, false);
+    std::fill(mask.begin(), mask.begin() + 5, true);
+    std::sort(mask.begin(), mask.end());
+    do {
+      idx.clear();
+      for (unsigned i = 0; i < 8; ++i) {
+        if (mask[i]) idx.push_back(i);
+      }
+      auto decoded = rs->Decode(Pick(frags, idx), value.size(), kernel);
+      ASSERT_TRUE(decoded.ok());
+      EXPECT_EQ(*decoded, value);
+      ++subsets;
+    } while (std::next_permutation(mask.begin(), mask.end()));
+    EXPECT_EQ(subsets, 56);
+  }
 }
 
 TEST(RsCode, DecodeRejectsMalformedInput) {
@@ -152,6 +245,28 @@ TEST(RsCode, CorruptedFragmentIsCaughtByCrc) {
   auto decoded = rs->Decode(Pick(frags, {2, 3, 4, 5, 6}), value.size());
   ASSERT_TRUE(decoded.ok());
   EXPECT_NE(*decoded, value);  // garbage in, garbage out — CRC's job
+}
+
+// --- CRC-32 ------------------------------------------------------------------
+
+TEST(CodedCell, Crc32CheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+}
+
+TEST(CodedCell, Crc32MatchesBytewiseReference) {
+  // Slicing-by-8 against the bytewise loop: random lengths (across the
+  // 8-byte block boundary and well past it) at every start alignment.
+  Rng rng(17);
+  const std::string buf = RandomValue(rng, 4096 + 64);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t off = trial % 16;
+    const std::size_t len =
+        trial < 200 ? static_cast<std::size_t>(trial) : rng.Below(4096);
+    const std::string_view bytes(buf.data() + off, len);
+    ASSERT_EQ(Crc32(bytes), nadreg::detail::Crc32Bytewise(bytes))
+        << "off=" << off << " len=" << len;
+  }
 }
 
 // --- Coded-cell semilattice laws -------------------------------------------
@@ -280,6 +395,70 @@ TEST(CodedCell, EmptyFragmentCellRoundTrips) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded->frags.size(), 1u);
   EXPECT_TRUE(decoded->frags[0].bytes.empty());
+}
+
+TEST(CodedCell, SubsumptionRule) {
+  const std::string put2 = EncodeCodedPut(MakeFrag(2, 1, 0, "p2"));
+  const std::string commit2 = EncodeCodedCommit(MakeFrag(2, 1, 0, "c2"));
+  const std::string commit3 = EncodeCodedCommit(MakeFrag(3, 1, 0, "c3"));
+  const std::string bare3 = EncodeCodedCommit(CodedTag{3, 1});
+  EXPECT_TRUE(CodedDeltaSubsumes(commit2, put2));   // t == T
+  EXPECT_TRUE(CodedDeltaSubsumes(commit3, put2));   // t < T
+  EXPECT_TRUE(CodedDeltaSubsumes(commit3, commit2));
+  EXPECT_TRUE(CodedDeltaSubsumes(commit3, bare3));
+  EXPECT_FALSE(CodedDeltaSubsumes(commit2, commit3));  // t > T
+  EXPECT_FALSE(CodedDeltaSubsumes(put2, put2));        // a Put never does
+  EXPECT_FALSE(CodedDeltaSubsumes(bare3, put2));  // would lose put2's frag
+  EXPECT_FALSE(CodedDeltaSubsumes(commit3, "junk"));
+  EXPECT_FALSE(CodedDeltaSubsumes("junk", put2));
+  EXPECT_FALSE(CodedDeltaSubsumes(commit3.substr(0, commit3.size() - 1), put2));
+}
+
+TEST(CodedCell, SubsumedDeltaIsRedundant) {
+  // Merge(Merge(c, e), l) == Merge(c, l) whenever Subsumes(l, e), over
+  // reachable cells (built by merging random deltas into the empty cell),
+  // many of them holding the full pending cap.
+  Rng rng(2024);
+  auto random_delta = [&] {
+    const SeqNum seq = 1 + rng.Below(14);
+    const ProcessId writer = 1 + rng.Below(2);
+    const std::string bytes = RandomValue(rng, rng.Below(4));
+    switch (rng.Below(3)) {
+      case 0:
+        return EncodeCodedPut(MakeFrag(seq, writer, 0, bytes));
+      case 1:
+        return EncodeCodedCommit(CodedTag{seq, writer});
+      default:
+        return EncodeCodedCommit(MakeFrag(seq, writer, 0, bytes));
+    }
+  };
+  int full_caps = 0, checked = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    Value c;
+    const std::size_t steps = rng.Below(24);
+    for (std::size_t i = 0; i < steps; ++i) {
+      // Odd trials mix in commits; even ones only Put, so the pending
+      // suffix often fills up.
+      c = MergeCodedCell(c, trial % 2 == 1 && rng.Below(4) == 0
+                                ? random_delta()
+                                : EncodeCodedPut(MakeFrag(
+                                      1 + rng.Below(14), 1 + rng.Below(2), 0,
+                                      RandomValue(rng, rng.Below(4)))));
+    }
+    auto cell = DecodeCodedCell(c);
+    ASSERT_TRUE(cell.ok());
+    std::size_t pending = 0;
+    for (const auto& f : cell->frags) pending += f.tag > cell->committed;
+    full_caps += pending == CodedCell::kMaxPendingTags;
+    const std::string e = random_delta();
+    const std::string l = random_delta();
+    if (!CodedDeltaSubsumes(l, e)) continue;
+    ++checked;
+    ASSERT_EQ(MergeCodedCell(MergeCodedCell(c, e), l), MergeCodedCell(c, l))
+        << "trial " << trial;
+  }
+  EXPECT_GT(checked, 500);
+  EXPECT_GT(full_caps, 500);
 }
 
 TEST(CodedCell, MergeToleratesGarbage) {
