@@ -5,14 +5,16 @@
 // (sampling) and the hand-built proof schedules (adversary/):
 //
 //   * certification sweep: SWSR / SWMR / MWSR(seq-cst) / MWMR / one-shot,
-//     ranked-register (Active Disk) Paxos and classic Disk Paxos are run
-//     bounded-exhaustively under crash budgets 0 and 1 — zero violations
-//     required;
+//     the erasure-coded MWMR register (n=4, k=2), ranked-register (Active
+//     Disk) Paxos and classic Disk Paxos are run bounded-exhaustively
+//     under crash budgets 0 and 1 (the coded register also by seeded
+//     random playouts) — zero violations required;
 //   * partial-order reduction ablation: sleep sets must prune >= 30% of
 //     the MWMR tree without changing the verdict;
 //   * counterexample pipeline: the Fig. 2 algorithm misused as an atomic
-//     MWSR register is broken; the explorer finds a violating schedule on
-//     its own, serializes it, minimizes it, and re-replays the trace file
+//     MWSR register is broken, and so is a coded READ that never writes
+//     back; for each, the explorer finds a violating schedule on its own,
+//     minimizes it, serializes it, and re-replays the trace
 //     deterministically — the same path `--replay <file>` drives;
 //   * over-budget demo: two faulty disks on a t=1 farm starve quorums —
 //     detected as the documented degradation, never as a violation.
@@ -21,26 +23,36 @@
 // writes machine-readable stats (BENCH_explore.json in CI); --trace-dir
 // <dir> is where counterexample traces land; --por=off disables the
 // reduction; --replay <file> re-executes one serialized trace and exits.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "apps/disk_paxos.h"
 #include "apps/ranked_register.h"
 #include "checker/consistency.h"
 #include "checker/history.h"
+#include "common/coded_cell.h"
 #include "common/sync.h"
+#include "core/address.h"
+#include "core/coded/coded_mwmr.h"
+#include "core/coded/rs_code.h"
 #include "core/config.h"
 #include "core/mwmr_atomic.h"
 #include "core/mwsr_seqcst.h"
 #include "core/oneshot.h"
+#include "core/register_set.h"
 #include "core/swmr_atomic.h"
 #include "core/swsr_atomic.h"
+#include "obs/metrics.h"
 #include "sim/explorer.h"
 #include "sim/scenario.h"
 #include "sim/schedule_trace.h"
@@ -231,6 +243,115 @@ ScheduleExplorer::RunFactory MwmrScenario() {
   };
 }
 
+// The erasure-coded register at its smallest interesting geometry: n=4,
+// k=2, f=1 (q=3), where a put can reach k disks yet miss a later read
+// quorum. DetFarm runs every merge as an RMW pending write, so each
+// fragment's arrival is an explorer decision.
+constexpr core::CodedOptions kCodedGeometry{4, 2};
+
+// One READ by a scenario thread: nullopt once the farm was abandoned,
+// else the value read (an inner nullopt = the initial value).
+using ReadOutcome = std::optional<std::optional<std::string>>;
+
+// The coded READ with its write-back deleted, built from the public cell
+// and code API: decode the highest tag >= t* the quorum can assemble and
+// return it. When that tag is an in-flight put that reached only k disks,
+// the next read quorum may see fewer than k of its fragments and fall
+// back to an older value — the new-old inversion the write-back forbids.
+ReadOutcome CodedReadNoWriteBack(core::RegisterSet& set,
+                                 const core::RsCode& rs) {
+  for (;;) {
+    auto ticket = set.ReadAll();
+    if (!set.Await(ticket, kCodedGeometry.quorum())) return std::nullopt;
+    std::vector<CodedCell> cells;
+    for (const auto& [idx, bytes] : ticket.Results()) {
+      auto cell = DecodeCodedCell(bytes);
+      if (cell.ok()) cells.push_back(std::move(*cell));
+    }
+    CodedTag t_star;
+    std::map<CodedTag, std::vector<std::pair<unsigned, std::string_view>>>
+        frags;
+    std::map<CodedTag, std::uint32_t> sizes;
+    for (const CodedCell& cell : cells) {
+      t_star = std::max(t_star, cell.committed);
+      for (const CodedFragment& f : cell.frags) {
+        frags[f.tag].emplace_back(f.index, f.bytes);
+        sizes[f.tag] = f.value_size;
+      }
+    }
+    for (auto it = frags.rbegin(); it != frags.rend(); ++it) {
+      if (it->first < t_star) break;
+      if (it->second.size() < kCodedGeometry.k) continue;
+      auto value = rs.Decode(it->second, sizes[it->first]);
+      if (value.ok()) return std::optional<std::string>{std::move(*value)};
+    }
+    if (t_star.seq == 0) return std::optional<std::string>{};
+  }
+}
+
+// The cells CodedMwmr addresses for object 0, one per disk.
+std::vector<RegisterId> CodedRegisters() {
+  std::vector<RegisterId> regs;
+  for (DiskId d = 0; d < kCodedGeometry.n; ++d) {
+    regs.push_back(
+        RegisterId{d, core::MakeBlock(0, core::Component::kCodedCell, 0)});
+  }
+  return regs;
+}
+
+// Two sequential READs by process 3, each a ReadOutcome of `read()`.
+template <typename ReadOnce>
+void RecordTwoReads(HistoryRecorder& rec, ReadOnce read) {
+  for (int i = 0; i < 2; ++i) {
+    auto h = rec.BeginRead(3);
+    auto v = read();
+    if (!v) return;
+    rec.EndRead(h, v->value_or(""));
+  }
+}
+
+// Two writers and one reader doing two sequential READs over the coded
+// register. With `write_back` false the reader is the mutant above.
+ScheduleExplorer::RunFactory CodedScenario(bool write_back) {
+  return [write_back](DetFarm& farm) -> std::unique_ptr<ExplorationRun> {
+    auto scenario = std::make_unique<ThreadedScenario>(farm);
+    auto rec = std::make_shared<HistoryRecorder>();
+    for (ProcessId pid : {1u, 2u}) {
+      scenario->Spawn([&farm, rec, pid] {
+        auto reg =
+            core::CodedMwmr::Make(farm, /*object=*/0, pid, kCodedGeometry);
+        const std::string v = "w" + std::to_string(pid);
+        auto h = rec->BeginWrite(pid, v);
+        if (!reg->Write(v, OpOptions{}).ok()) return;
+        rec->EndWrite(h);
+      });
+    }
+    if (write_back) {
+      scenario->Spawn([&farm, rec] {
+        auto reg =
+            core::CodedMwmr::Make(farm, /*object=*/0, 3, kCodedGeometry);
+        RecordTwoReads(*rec, [&]() -> ReadOutcome {
+          auto v = reg->Read(OpOptions{});
+          if (!v.ok()) return std::nullopt;
+          return std::move(*v);
+        });
+      });
+    } else {
+      scenario->Spawn([&farm, rec] {
+        core::RegisterSet set(farm, 3, CodedRegisters());
+        auto rs = core::RsCode::Make(kCodedGeometry.n, kCodedGeometry.k);
+        RecordTwoReads(*rec, [&] { return CodedReadNoWriteBack(set, *rs); });
+      });
+    }
+    scenario->SetValidator([rec]() -> std::optional<std::string> {
+      auto result = CheckAtomic(rec->CheckableHistory());
+      if (result.ok) return std::nullopt;
+      return result.explanation;
+    });
+    return scenario;
+  };
+}
+
 ScheduleExplorer::RunFactory OneShotScenario() {
   return [](DetFarm& farm) -> std::unique_ptr<ExplorationRun> {
     auto scenario = std::make_unique<ThreadedScenario>(farm);
@@ -340,6 +461,12 @@ struct ScenarioEntry {
   // ~250 decisions end to end even with the bounded name layout, so the
   // default cap would truncate every path before its first leaf.
   std::size_t max_depth = 0;
+  // Seeded random playouts run after the depth-first sweep (quick; deep
+  // runs ten times as many). Depth-first order spends its node budget
+  // varying the last decisions of the leftmost schedules; playouts vary
+  // early ones too, which is what reaches a reader overtaking a put
+  // mid-fan-out.
+  std::size_t playouts = 0;
 };
 
 std::vector<ScenarioEntry> Registry() {
@@ -351,6 +478,8 @@ std::vector<ScenarioEntry> Registry() {
       {"mwmr", "Fig. 3 MWMR atomic, 2 WRITEs || 1 READ", MwmrScenario(),
        1500, 8000, 400},
       {"oneshot", "one-shot register, WRITE || 2 READers", OneShotScenario()},
+      {"coded", "coded MWMR n=4 k=2, 2 WRITEs || 2 READs",
+       CodedScenario(/*write_back=*/true), 3000, 20000, 0, 2000},
       {"active-paxos", "Active Disk Paxos, 2 proposers", ActivePaxosScenario(),
        1500, 8000},
       {"disk-paxos", "classic Disk Paxos, 2 proposers", DiskPaxosScenario(),
@@ -367,6 +496,12 @@ const ScenarioEntry* FindScenario(const std::vector<ScenarioEntry>& reg,
     static ScenarioEntry broken{"mwsr-as-atomic",
                                 "Fig. 2 MWSR misused as atomic",
                                 MwsrAsAtomicScenario()};
+    return &broken;
+  }
+  if (name == "coded-no-writeback") {
+    static ScenarioEntry broken{"coded-no-writeback",
+                                "coded READ that never writes back",
+                                CodedScenario(/*write_back=*/false)};
     return &broken;
   }
   return nullptr;
@@ -431,6 +566,52 @@ void AppendRunJson(std::string& json, const RunStats& r, bool first) {
       r.outcome.stuck, r.outcome.over_budget,
       r.outcome.truncated ? "true" : "false", r.wall_ms);
   json += buf;
+}
+
+// Outcome of the find -> minimize -> round-trip -> replay pipeline.
+struct Minimized {
+  bool ok = false;
+  std::size_t from = 0;  // decisions in the schedule first found
+  std::size_t to = 0;    // after minimization
+};
+
+// Finds a violation of a deliberately broken scenario (depth-first, or
+// `playouts` seeded random playouts when nonzero), minimizes it, and
+// replays its text-format round-trip twice: both replays must report the
+// identical violation. The minimized trace lands in `trace_dir`.
+Minimized FindAndMinimize(ScheduleExplorer& explorer,
+                          const ScheduleExplorer::Options& opts,
+                          const std::string& name,
+                          const ScheduleExplorer::RunFactory& factory,
+                          std::size_t playouts, const std::string& trace_dir) {
+  Minimized m;
+  auto out = playouts == 0
+                 ? explorer.Explore(factory, opts)
+                 : explorer.ExploreRandom(factory, playouts, /*seed=*/1, opts);
+  if (out.violations == 0 || out.counterexamples.empty()) {
+    std::printf("   FAILED to find the expected %s violation\n", name.c_str());
+    return m;
+  }
+  const auto& ce = out.counterexamples.front();
+  std::printf("   found after %zu schedules: %s\n", out.schedules,
+              ce.description.c_str());
+  m.from = ce.schedule.size();
+  auto minimized = explorer.MinimizeSchedule(factory, ce.schedule, opts);
+  m.to = minimized.size();
+  std::printf("   minimized %zu -> %zu decisions:\n%s", m.from, m.to,
+              sim::FormatSchedule(minimized).c_str());
+  ScheduleTrace trace;
+  trace.scenario = name;
+  trace.decisions = minimized;
+  auto parsed = sim::ParseTrace(sim::FormatTrace(trace));
+  auto r1 = explorer.ReplaySchedule(factory, parsed->decisions, opts);
+  auto r2 = explorer.ReplaySchedule(factory, parsed->decisions, opts);
+  m.ok = !r1.diverged && !r2.diverged && r1.violation && r2.violation &&
+         *r1.violation == *r2.violation;
+  std::printf("   trace round-trip replayed twice: %s\n",
+              m.ok ? "identical violation (deterministic)" : "MISMATCH");
+  SaveCounterexample(trace_dir, name, name + "-min", minimized);
+  return m;
 }
 
 int ReplayMain(const std::string& path) {
@@ -514,6 +695,25 @@ int main(int argc, char** argv) {
               "depth %zu)\n",
               base.max_schedules, base.max_nodes, base.max_depth);
   auto registry = Registry();
+  auto record = [&](const ScenarioEntry& entry, const std::string& suffix,
+                    std::uint32_t budget, const ScheduleExplorer::Outcome& out,
+                    double wall_ms) {
+    const std::string label = entry.name + suffix;
+    runs.push_back(RunStats{label, budget, out, wall_ms});
+    std::printf(
+        "   %-13s f=%u: %5zu schedules, %5zu nodes, %5zu pruned, "
+        "%zu stuck, %zu over-budget%s — %s\n",
+        label.c_str(), budget, out.schedules, out.nodes, out.pruned,
+        out.stuck, out.over_budget, out.truncated ? " (truncated)" : "",
+        out.violations == 0 ? "OK" : "VIOLATIONS");
+    if (out.violations > 0) {
+      ++failures;
+      PrintCounterexamples(out);
+      SaveCounterexample(trace_dir, entry.name,
+                         label + "-f" + std::to_string(budget),
+                         out.counterexamples.front().schedule);
+    }
+  };
   for (const auto& entry : registry) {
     for (std::uint32_t budget : {0u, 1u}) {
       ScheduleExplorer::Options opts = base;
@@ -521,27 +721,26 @@ int main(int argc, char** argv) {
       if (entry.max_depth != 0) opts.max_depth = entry.max_depth;
       opts.crash_budget = budget;
       opts.tolerated_crashed_disks = budget;
-      const auto t0 = std::chrono::steady_clock::now();
-      auto out = explorer.Explore(entry.factory, opts);
-      RunStats r{entry.name, budget, out, MsSince(t0)};
-      runs.push_back(r);
-      std::printf(
-          "   %-13s f=%u: %5zu schedules, %5zu nodes, %5zu pruned, "
-          "%zu stuck, %zu over-budget%s — %s\n",
-          entry.name, budget, out.schedules, out.nodes, out.pruned,
-          out.stuck, out.over_budget, out.truncated ? " (truncated)" : "",
-          out.violations == 0 ? "OK" : "VIOLATIONS");
-      if (out.violations > 0) {
-        ++failures;
-        PrintCounterexamples(out);
-        SaveCounterexample(trace_dir, entry.name,
-                           std::string(entry.name) + "-f" +
-                               std::to_string(budget),
-                           out.counterexamples.front().schedule);
-      }
+      auto t0 = std::chrono::steady_clock::now();
+      record(entry, "", budget, explorer.Explore(entry.factory, opts),
+             MsSince(t0));
+      if (entry.playouts == 0) continue;
+      t0 = std::chrono::steady_clock::now();
+      const std::size_t playouts =
+          deep ? 10 * entry.playouts : entry.playouts;
+      record(entry, "-random", budget,
+             explorer.ExploreRandom(entry.factory, playouts,
+                                    /*seed=*/budget + 1, opts),
+             MsSince(t0));
     }
   }
-  std::printf("\n");
+  // The coded scenario certifies the fast read only if its runs take it.
+  std::printf("   coded READs that skipped the write-back (fast reads): "
+              "%llu\n\n",
+              static_cast<unsigned long long>(
+                  obs::Registry::Global()
+                      .GetCounter("core.coded.fast_reads")
+                      .Get()));
 
   // POR ablation on the MWMR scenario (the acceptance target). Sleep sets
   // pay off where sibling subtrees are revisited, so the ablation explores
@@ -593,47 +792,25 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // The counterexample pipeline on the intentionally broken scenario.
+  // The counterexample pipeline on the intentionally broken scenarios.
   std::printf("C) Counterexample pipeline (Fig. 2 misused as atomic)\n");
-  std::size_t minimized_len = 0, original_len = 0;
-  {
-    ScheduleExplorer::Options opts = base;
-    opts.max_schedules = 5000;
-    opts.stop_at_first_violation = true;
-    auto out = explorer.Explore(MwsrAsAtomicScenario(), opts);
-    if (out.violations == 0 || out.counterexamples.empty()) {
-      std::printf("   FAILED to find the expected Fig. 2 violation\n");
-      ++failures;
-    } else {
-      const auto& ce = out.counterexamples.front();
-      std::printf("   found after %zu schedules: %s\n", out.schedules,
-                  ce.description.c_str());
-      original_len = ce.schedule.size();
-      auto minimized =
-          explorer.MinimizeSchedule(MwsrAsAtomicScenario(), ce.schedule, opts);
-      minimized_len = minimized.size();
-      std::printf("   minimized %zu -> %zu decisions:\n%s", original_len,
-                  minimized_len, sim::FormatSchedule(minimized).c_str());
-      // Round-trip through the text format, replay twice: byte-identical.
-      ScheduleTrace trace;
-      trace.scenario = "mwsr-as-atomic";
-      trace.decisions = minimized;
-      auto parsed = sim::ParseTrace(sim::FormatTrace(trace));
-      auto r1 = explorer.ReplaySchedule(MwsrAsAtomicScenario(),
-                                        parsed->decisions, opts);
-      auto r2 = explorer.ReplaySchedule(MwsrAsAtomicScenario(),
-                                        parsed->decisions, opts);
-      const bool deterministic = !r1.diverged && !r2.diverged &&
-                                 r1.violation && r2.violation &&
-                                 *r1.violation == *r2.violation;
-      std::printf("   trace round-trip replayed twice: %s\n",
-                  deterministic ? "identical violation (deterministic)"
-                                : "MISMATCH");
-      if (!deterministic) ++failures;
-      SaveCounterexample(trace_dir, "mwsr-as-atomic", "mwsr-as-atomic-min",
-                         minimized);
-    }
-  }
+  ScheduleExplorer::Options broken = base;
+  broken.max_schedules = 5000;
+  broken.stop_at_first_violation = true;
+  const Minimized mwsr = FindAndMinimize(explorer, broken, "mwsr-as-atomic",
+                                         MwsrAsAtomicScenario(), 0, trace_dir);
+  if (!mwsr.ok) ++failures;
+  std::printf("\n");
+
+  // The coded mutant's bug lies under an early reordering (the reader
+  // must overtake a put mid-fan-out), which depth-first order reaches
+  // only after whole writer subtrees; seeded random playouts find it in
+  // a few hundred runs.
+  std::printf("C') Counterexample pipeline (coded READ without write-back)\n");
+  const Minimized coded =
+      FindAndMinimize(explorer, broken, "coded-no-writeback",
+                      CodedScenario(/*write_back=*/false), 4000, trace_dir);
+  if (!coded.ok) ++failures;
   std::printf("\n");
 
   std::printf("D) Over-budget detection (budget 2 faults on a t=1 farm)\n");
@@ -660,14 +837,16 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < runs.size(); ++i) {
       AppendRunJson(json, runs[i], i == 0);
     }
-    char buf[256];
+    char buf[384];
     std::snprintf(buf, sizeof(buf),
                   "\n  ],\n  \"por_prune_ratio\": %.4f,\n"
                   "  \"minimized_counterexample\": {\"from\": %zu, "
+                  "\"to\": %zu},\n"
+                  "  \"coded_minimized_counterexample\": {\"from\": %zu, "
                   "\"to\": %zu},\n  \"over_budget_detected\": %zu,\n"
                   "  \"failures\": %d\n}\n",
-                  prune_ratio, original_len, minimized_len, over_budget_seen,
-                  failures);
+                  prune_ratio, mwsr.from, mwsr.to, coded.from, coded.to,
+                  over_budget_seen, failures);
     json += buf;
     if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
       std::fwrite(json.data(), 1, json.size(), f);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Focused ThreadSanitizer pass over the concurrency-heavy suites: the NAD
 # wire protocol, the network client/server (sender + reader threads,
-# striped store), and the RegisterSet quorum engine. Uses the `tsan`
+# striped store), the RegisterSet quorum engine, and the coded register
+# (whose tests hand merges to a farm thread). Uses the `tsan`
 # CMake preset (build-tsan/) so the default build/ is never disturbed.
 #
 #   $ scripts/tsan_tests.sh
@@ -12,7 +13,8 @@ cd "$(dirname "$0")/.."
 
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" --target \
-  test_nad_protocol test_nad_network test_nad_robustness test_register_set
+  test_nad_protocol test_nad_network test_nad_robustness test_register_set \
+  test_coded_mwmr
 
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R '^(Protocol|NadNetwork|NadRobustness|RegisterSet)\.'
+  -R '^(Protocol|NadNetwork|NadRobustness|RegisterSet|CodedMwmr)\.'

@@ -19,6 +19,12 @@ obs::Histogram& HistDecodeUs() {
   return h;
 }
 
+obs::Counter& CounterFastReads() {
+  static obs::Counter& c =
+      obs::Registry::Global().GetCounter("core.coded.fast_reads");
+  return c;
+}
+
 }  // namespace
 
 Expected<CodedMwmr> CodedMwmr::Make(BaseRegisterClient& client,
@@ -150,6 +156,9 @@ CodedMwmr::ReadAttempt CodedMwmr::AttemptRead(OpDeadline deadline) {
   struct Candidate {
     std::vector<std::pair<unsigned, std::string_view>> frags;
     std::uint32_t value_size = 0;
+    // Responders whose committed tag is this tag AND whose own fragment
+    // of it passed the checks above: the tag's commit quorum as seen here.
+    std::uint32_t committed_holders = 0;
   };
   std::map<CodedTag, Candidate> candidates;
   for (const auto& [idx, bytes] : results) {
@@ -169,6 +178,7 @@ CodedMwmr::ReadAttempt CodedMwmr::AttemptRead(OpDeadline deadline) {
       if (dup) continue;
       c.value_size = f.value_size;
       c.frags.emplace_back(f.index, f.bytes);
+      if (f.tag == cell.committed) ++c.committed_holders;
     }
   }
   // Highest tag >= t* decodable from this quorum's responses. A tag above
@@ -187,6 +197,11 @@ CodedMwmr::ReadAttempt CodedMwmr::AttemptRead(OpDeadline deadline) {
     out.decided = true;
     out.tag = it->first;
     out.value = std::move(*value);
+    // The chosen tag is >= t*, so q responders committed at it means it
+    // IS t*, already committed with its fragments at a quorum: the state
+    // a completed commit round leaves, so the write-back would add
+    // nothing (DESIGN.md §16).
+    out.committed_at_quorum = it->second.committed_holders >= opts_.quorum();
     return out;
   }
   if (t_star.seq == 0) {
@@ -222,13 +237,22 @@ Expected<std::optional<std::string>> CodedMwmr::Read(const OpOptions& opts) {
       ++reads_done_;
       return std::optional<std::string>{};  // initial value
     }
+    if (attempt.committed_at_quorum) {
+      // Fast read: the write-back would rebuild the commit quorum this
+      // read quorum already shows (AttemptRead).
+      ++fast_reads_;
+      CounterFastReads().Inc();
+      ++reads_done_;
+      return std::optional<std::string>{std::move(*attempt.value)};
+    }
     // Reader write-back: make the returned tag committed at a quorum
     // BEFORE returning, so no later read can decide an older tag
     // (new-old inversion). The commit deltas carry re-encoded fragments
     // of the decoded value — mandatory when the chosen tag is an
     // in-flight write whose put never reached a full quorum (it may
     // live on just k disks): committing it without re-propagating the
-    // fragments would publish a tag later quorums cannot decode.
+    // fragments would publish a tag later quorums cannot decode. A tag
+    // committed at fewer than q responders takes this path too.
     if (Status s = CommitQuorum(MakeFragments(attempt.tag, *attempt.value),
                                 deadline);
         !s.ok()) {

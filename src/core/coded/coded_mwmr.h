@@ -22,13 +22,17 @@
 ///        fragments among the responses; none assemblable -> retry
 ///        (deadline-bounded); nothing committed and nothing assemblable ->
 ///        initial value
-///     3. decode from any k fragments, re-encode into n fragments, merge
-///        Commit(chosen, frag_i) into disk i; await a write quorum (the
-///        reader write-back that forbids new-old inversion AND
-///        re-propagates an in-flight tag's fragments before help-
-///        committing it — a decoded tag may so far live on as few as
-///        k < q disks if its writer crashed mid-put)
-///     4. return
+///     3. decode from any k fragments. Fast read: if >= q responders
+///        report committed == chosen (each with a valid fragment of it),
+///        return now — chosen is t*, and the quorum already is the
+///        commit quorum a write-back would build
+///     4. otherwise re-encode into n fragments, merge Commit(chosen,
+///        frag_i) into disk i; await a write quorum (the reader
+///        write-back that forbids new-old inversion AND re-propagates an
+///        in-flight tag's fragments before help-committing it — a
+///        decoded tag may so far live on as few as k < q disks if its
+///        writer crashed mid-put)
+///     5. return
 ///
 /// Quorum math: with q = n - f and n >= 2f + k, any two quorums intersect
 /// in >= n - 2f >= k disks. Because every commit carries the destination
@@ -117,6 +121,8 @@ class CodedMwmr : public obs::Instrumented {
   obs::PhaseCounters op_metrics() const override;
 
   std::uint64_t read_retries() const { return read_retries_; }
+  /// READs that returned after one round, skipping the write-back.
+  std::uint64_t fast_reads() const { return fast_reads_; }
 
  private:
   CodedMwmr(BaseRegisterClient& client, std::uint32_t object, ProcessId self,
@@ -129,6 +135,9 @@ class CodedMwmr : public obs::Instrumented {
     bool decided = false;  // value or initial-value; !decided => retry
     CodedTag tag;          // seq 0 = initial value
     std::optional<std::string> value;
+    // >= q responders report `tag` committed and hold a valid fragment of
+    // it: the READ may return without writing back.
+    bool committed_at_quorum = false;
   };
   ReadAttempt AttemptRead(OpDeadline deadline);
 
@@ -156,6 +165,7 @@ class CodedMwmr : public obs::Instrumented {
   std::uint64_t writes_done_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t read_retries_ = 0;
+  std::uint64_t fast_reads_ = 0;
   std::uint64_t wire_bytes_out_ = 0;
   std::uint64_t wire_bytes_in_ = 0;
 };

@@ -4,7 +4,8 @@
 /// the registers of every IssueReads call, so a test can assert how many
 /// rounds an operation took and which registers each round covered. It
 /// also counts single IssueRead calls: the reads a register chains from
-/// its pending queue.
+/// its pending queue; and forwards coded-cell merges, counting every
+/// delta issued.
 #pragma once
 
 #include <cstddef>
@@ -35,11 +36,17 @@ class CountingClient final : public BaseRegisterClient {
     MutexLock lock(mu_);
     return single_reads_;
   }
+  /// Merge deltas issued, through IssueMerge and IssueMerges alike.
+  std::size_t Merges() const {
+    MutexLock lock(mu_);
+    return merges_;
+  }
   void Reset() {
     MutexLock lock(mu_);
     read_rounds_.clear();
     write_calls_ = 0;
     single_reads_ = 0;
+    merges_ = 0;
   }
 
   void IssueRead(ProcessId p, RegisterId r, ReadHandler done) override {
@@ -68,6 +75,22 @@ class CountingClient final : public BaseRegisterClient {
     }
     inner_.IssueWrites(p, std::move(ops));
   }
+  bool SupportsMerge() const override { return inner_.SupportsMerge(); }
+  void IssueMerge(ProcessId p, RegisterId r, Value delta,
+                  WriteHandler done) override {
+    {
+      MutexLock lock(mu_);
+      ++merges_;
+    }
+    inner_.IssueMerge(p, r, std::move(delta), std::move(done));
+  }
+  void IssueMerges(ProcessId p, std::vector<WriteOp> ops) override {
+    {
+      MutexLock lock(mu_);
+      merges_ += ops.size();
+    }
+    inner_.IssueMerges(p, std::move(ops));
+  }
 
   bool NoteBlocked(ProcessId p, std::size_t remaining,
                    std::function<void()> wake) override {
@@ -86,6 +109,7 @@ class CountingClient final : public BaseRegisterClient {
   std::vector<std::vector<RegisterId>> read_rounds_ GUARDED_BY(mu_);
   std::size_t write_calls_ GUARDED_BY(mu_) = 0;
   std::size_t single_reads_ GUARDED_BY(mu_) = 0;
+  std::size_t merges_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace nadreg::testutil

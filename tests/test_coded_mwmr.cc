@@ -1,12 +1,14 @@
 // Tests for the erasure-coded atomic MWMR emulation: sequential
 // semantics over a simulated farm, storage accounting (each disk holds a
-// fragment, never a full copy), and multi-writer multi-reader behaviour
+// fragment, never a full copy), the one-round fast read and the
+// write-back it must keep, and multi-writer multi-reader behaviour
 // under random schedules and quorum-minority disk crashes — every
 // concurrent history certified atomic by the linearizability checker.
 #include "core/coded/coded_mwmr.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "checker/history.h"
 #include "common/coded_cell.h"
 #include "core/address.h"
+#include "counting_client.h"
 #include "harness/workload.h"
 #include "sim/sim_farm.h"
 
@@ -182,7 +185,7 @@ TEST(CodedMwmr, TornWriteNeverSurfaces) {
     f.crc = Crc32(frags[d]);
     f.bytes = frags[d];
     RegisterId r{d, MakeBlock(1, Component::kCodedCell, 0)};
-    bool done = false;
+    std::atomic<bool> done = false;
     farm.IssueMerge(9, r, EncodeCodedPut(f), [&done] { done = true; });
     while (!done) std::this_thread::yield();
   }
@@ -223,7 +226,7 @@ TEST(CodedMwmr, HelpCommitRepropagatesInFlightFragments) {
     f.crc = Crc32(frags[d]);
     f.bytes = frags[d];
     RegisterId r{d, MakeBlock(1, Component::kCodedCell, 0)};
-    bool done = false;
+    std::atomic<bool> done = false;
     farm.IssueMerge(9, r, EncodeCodedPut(f), [&done] { done = true; });
     while (!done) std::this_thread::yield();
   }
@@ -254,6 +257,88 @@ TEST(CodedMwmr, HelpCommitRepropagatesInFlightFragments) {
   auto v2 = r2.Read();
   ASSERT_TRUE(v2.has_value());
   EXPECT_EQ(*v2, torn);
+}
+
+RegisterId CellOf(DiskId d) {
+  return RegisterId{d, MakeBlock(1, Component::kCodedCell, 0)};
+}
+
+// Spins until every disk's cell reports `tag` committed: the WRITE's
+// trailing commit (beyond its quorum) has landed too.
+void AwaitCommittedEverywhere(const SimFarm& farm, const CodedOptions& opts,
+                              const CodedTag& tag) {
+  for (DiskId d = 0; d < opts.n; ++d) {
+    for (;;) {
+      auto cell = DecodeCodedCell(farm.Peek(CellOf(d)));
+      if (cell.ok() && cell->committed == tag) break;
+      std::this_thread::yield();
+    }
+  }
+}
+
+TEST(CodedMwmr, QuiescentReadSkipsWriteBack) {
+  // Once a WRITE's commit reached every disk, any read quorum shows its
+  // tag committed with fragments at >= q disks: the READ returns after
+  // its one read round and merges nothing.
+  SimFarm farm;
+  CodedOptions opts;
+  auto writer = MakeReg(farm, 1, opts);
+  writer.Write("quiescent");
+  AwaitCommittedEverywhere(farm, opts, CodedTag{1, 1});
+
+  testutil::CountingClient counting(farm);
+  auto reader = CodedMwmr::Make(counting, 1, 2, opts);
+  ASSERT_TRUE(reader.ok());
+  auto v = reader->Read();
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, "quiescent");
+  EXPECT_EQ(counting.ReadCalls(), 1u);
+  EXPECT_EQ(counting.Merges(), 0u);
+  EXPECT_EQ(reader->fast_reads(), 1u);
+}
+
+TEST(CodedMwmr, PartiallyCommittedTagStillWritesBack) {
+  // A tag committed (with its fragments) at q - 1 disks: every read
+  // quorum decodes it, but fewer than q responders report it committed,
+  // so the READ must write back before returning.
+  SimFarm farm;
+  CodedOptions opts;  // n = 8, k = 5, q = 7
+  auto rs = RsCode::Make(opts.n, opts.k);
+  ASSERT_TRUE(rs.ok());
+  const std::string value(100, 'P');
+  const CodedTag tag{1, 9};
+  auto shards = rs->Encode(value);
+  for (DiskId d = 0; d + 1 < opts.quorum(); ++d) {
+    CodedFragment f;
+    f.tag = tag;
+    f.index = static_cast<std::uint8_t>(d);
+    f.n = static_cast<std::uint8_t>(opts.n);
+    f.k = static_cast<std::uint8_t>(opts.k);
+    f.value_size = static_cast<std::uint32_t>(value.size());
+    f.crc = Crc32(shards[d]);
+    f.bytes = shards[d];
+    std::atomic<bool> done = false;
+    farm.IssueMerge(9, CellOf(d), EncodeCodedCommit(f),
+                    [&done] { done = true; });
+    while (!done) std::this_thread::yield();
+  }
+
+  testutil::CountingClient counting(farm);
+  auto reader = CodedMwmr::Make(counting, 1, 2, opts);
+  ASSERT_TRUE(reader.ok());
+  auto v = reader->Read();
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, value);
+  EXPECT_EQ(reader->fast_reads(), 0u);
+  EXPECT_EQ(counting.Merges(), opts.n);  // the write-back's commit round
+
+  std::uint32_t committed = 0;
+  for (DiskId d = 0; d < opts.n; ++d) {
+    auto cell = DecodeCodedCell(farm.Peek(CellOf(d)));
+    ASSERT_TRUE(cell.ok()) << "disk " << d;
+    if (cell->committed == tag) ++committed;
+  }
+  EXPECT_GE(committed, opts.quorum());
 }
 
 TEST(CodedMwmr, WireAccountingGrowsWithTraffic) {
