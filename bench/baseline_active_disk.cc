@@ -15,7 +15,6 @@
 #include "apps/disk_paxos.h"
 #include "apps/ranked_register.h"
 #include "core/config.h"
-#include "sim/active_farm.h"
 #include "sim/sim_farm.h"
 
 namespace {
@@ -36,13 +35,13 @@ std::uint64_t ClassicOpsPerDecision(std::uint32_t n) {
 
 std::uint64_t ActiveOpsPerDecision() {
   FarmConfig cfg{1};
-  sim::ActiveDiskFarm::Options o;
+  sim::SimFarm::Options o;
   o.max_delay_us = 0;
-  sim::ActiveDiskFarm farm(o);
+  sim::SimFarm farm(o);
   apps::ActiveDiskPaxos paxos(farm, cfg, 1, /*pid=*/12345);
   auto chosen = paxos.TryPropose("v", /*rank=*/1 << 20);
   if (!chosen) return 0;
-  return farm.RmwIssued() + farm.stats().TotalIssued();
+  return farm.stats().TotalIssued();
 }
 
 }  // namespace

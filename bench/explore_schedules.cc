@@ -721,17 +721,18 @@ int main(int argc, char** argv) {
       if (entry.max_depth != 0) opts.max_depth = entry.max_depth;
       opts.crash_budget = budget;
       opts.tolerated_crashed_disks = budget;
+      // Explore in a statement of its own: as arguments of one call,
+      // MsSince(t0) may be evaluated before the exploration runs.
       auto t0 = std::chrono::steady_clock::now();
-      record(entry, "", budget, explorer.Explore(entry.factory, opts),
-             MsSince(t0));
+      const auto out = explorer.Explore(entry.factory, opts);
+      record(entry, "", budget, out, MsSince(t0));
       if (entry.playouts == 0) continue;
       t0 = std::chrono::steady_clock::now();
       const std::size_t playouts =
           deep ? 10 * entry.playouts : entry.playouts;
-      record(entry, "-random", budget,
-             explorer.ExploreRandom(entry.factory, playouts,
-                                    /*seed=*/budget + 1, opts),
-             MsSince(t0));
+      const auto random_out = explorer.ExploreRandom(
+          entry.factory, playouts, /*seed=*/budget + 1, opts);
+      record(entry, "-random", budget, random_out, MsSince(t0));
     }
   }
   // The coded scenario certifies the fast read only if its runs take it.

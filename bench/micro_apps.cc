@@ -8,7 +8,6 @@
 #include "apps/ranked_register.h"
 #include "apps/shared_log.h"
 #include "core/config.h"
-#include "sim/active_farm.h"
 #include "sim/sim_farm.h"
 
 namespace {
@@ -69,9 +68,7 @@ BENCHMARK(BM_FastMutexUncontended)->Iterations(512);
 
 void BM_RankedRegisterWrite(benchmark::State& state) {
   FarmConfig cfg{1};
-  sim::ActiveDiskFarm::Options o;
-  o.max_delay_us = 0;
-  sim::ActiveDiskFarm farm(o);
+  sim::SimFarm farm(ZeroDelay());
   apps::RankedRegister reg(farm, cfg, 1, 1);
   std::uint64_t rank = 1;
   for (auto _ : state) benchmark::DoNotOptimize(reg.Write(rank++, "v"));
@@ -81,9 +78,7 @@ BENCHMARK(BM_RankedRegisterWrite);
 
 void BM_RankedRegisterRead(benchmark::State& state) {
   FarmConfig cfg{1};
-  sim::ActiveDiskFarm::Options o;
-  o.max_delay_us = 0;
-  sim::ActiveDiskFarm farm(o);
+  sim::SimFarm farm(ZeroDelay());
   apps::RankedRegister reg(farm, cfg, 1, 1);
   reg.Write(1, "v");
   std::uint64_t rank = 2;
@@ -94,9 +89,7 @@ BENCHMARK(BM_RankedRegisterRead);
 
 void BM_ActiveDiskPaxosDecision(benchmark::State& state) {
   FarmConfig cfg{1};
-  sim::ActiveDiskFarm::Options o;
-  o.max_delay_us = 0;
-  sim::ActiveDiskFarm farm(o);
+  sim::SimFarm farm(ZeroDelay());
   std::uint32_t object = 1;
   for (auto _ : state) {
     apps::ActiveDiskPaxos paxos(farm, cfg, object++, /*pid=*/7);

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Focused ThreadSanitizer pass over the concurrency-heavy suites: the NAD
 # wire protocol, the network client/server (sender + reader threads,
-# striped store), the RegisterSet quorum engine, and the coded register
-# (whose tests hand merges to a farm thread). Uses the `tsan`
+# striped store), the RegisterSet quorum engine, the coded register
+# (whose tests hand merges to a farm thread), and SimFarm with the ranked
+# register and Active Disk Paxos on it (RMW handlers run on the farm's
+# service thread). Uses the `tsan`
 # CMake preset (build-tsan/) so the default build/ is never disturbed.
 #
 #   $ scripts/tsan_tests.sh
@@ -14,7 +16,7 @@ cd "$(dirname "$0")/.."
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" --target \
   test_nad_protocol test_nad_network test_nad_robustness test_register_set \
-  test_coded_mwmr
+  test_coded_mwmr test_sim_farm test_ranked_register
 
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R '^(Protocol|NadNetwork|NadRobustness|RegisterSet|CodedMwmr)\.'
+  -R '^(Protocol|NadNetwork|NadRobustness|RegisterSet|CodedMwmr|SimFarm|RankedRegister|ActiveDiskPaxos|Seeds/SimFarmSeeds|Seeds/ActiveDiskPaxosRace)\.'

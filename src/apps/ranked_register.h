@@ -60,8 +60,7 @@ class RankedRegister {
   };
 
   /// One endpoint per process; participants share `object`. Works against
-  /// any RMW substrate — the real-time ActiveDiskFarm or the explorer's
-  /// DetFarm.
+  /// any RMW substrate — the real-time SimFarm or the explorer's DetFarm.
   RankedRegister(sim::ActiveDiskClient& farm, const core::FarmConfig& cfg,
                  std::uint32_t object, ProcessId self);
 

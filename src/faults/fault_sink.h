@@ -7,8 +7,8 @@
 /// backend grew its own ad-hoc crash entry points (SimFarm::CrashDisk,
 /// NadServer::CrashDisk, ...); FaultSink unifies them so one FaultPlan
 /// (fault_plan.h) driven by one FaultInjector (injector.h) can target the
-/// randomized simulation, the adversary-controlled farm, the active-disk
-/// farm, or a cluster of real TCP disk daemons interchangeably.
+/// randomized simulation, the adversary-controlled farm, or a cluster of
+/// real TCP disk daemons interchangeably.
 ///
 /// The two crash faults are the paper's model and every sink must
 /// implement them. The transport faults (delay / drop / disconnect /

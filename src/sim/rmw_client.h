@@ -6,10 +6,11 @@
 /// The paper's main model (plain NADs) cannot express RMW — that is the
 /// point of keeping this a *separate* interface: nothing in core/ can
 /// touch an RMW block, so the model boundary stays visible in the type
-/// system. Two implementations exist: sim::ActiveDiskFarm (real time,
+/// system. Both simulated farms implement it: sim::SimFarm (real time,
 /// randomized delivery delays) and sim::DetFarm (deterministic,
-/// adversary/explorer-controlled), so the Active Disk Paxos baseline can
-/// be model-checked with the same explorer as the main emulations.
+/// adversary/explorer-controlled), so the Active Disk Paxos baseline runs
+/// under the same fault plans and the same explorer as the main
+/// emulations.
 #pragma once
 
 #include <functional>
@@ -41,8 +42,8 @@ class ActiveDiskClient : public BaseRegisterClient {
 
   /// An RMW block trivially subsumes the coded-cell join (a fixed,
   /// order-independent fn), so every active-disk substrate supports merge
-  /// for free — DetFarm inherits this path, which keeps merges visible to
-  /// the explorer as ordinary pending (RMW) write ops.
+  /// for free. Both farms inherit this path; in DetFarm it keeps merges
+  /// visible to the explorer as ordinary pending (RMW) write ops.
   bool SupportsMerge() const override { return true; }
   void IssueMerge(ProcessId p, RegisterId r, Value delta,
                   WriteHandler done) override {

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/coded_cell.h"
-
 namespace nadreg::sim {
 
 SimFarm::SimFarm(Options opts)
@@ -25,25 +23,19 @@ SimFarm::~SimFarm() {
 void SimFarm::Enqueue(Event ev) {
   {
     MutexLock lock(mu_);
-    if (store_.IsCrashed(ev.r)) {
-      // Unresponsive register: the operation is accepted but will never be
-      // serviced. It still counts as issued.
-      if (ev.is_write) {
-        ++stats_.writes_issued;
-      } else {
-        ++stats_.reads_issued;
-      }
-      return;
+    // Every accepted operation counts as issued, including one that a
+    // crash or a lossy link swallows.
+    if (ev.is_write) {
+      ++stats_.writes_issued;
+    } else {
+      ++stats_.reads_issued;
     }
+    // Unresponsive register: the operation is never serviced.
+    if (store_.IsCrashed(ev.r)) return;
     if (auto it = drop_permille_.find(ev.r.disk);
         it != drop_permille_.end() && rng_.Chance(it->second, 1000)) {
-      // Lossy link: the operation is swallowed like a crash would swallow
-      // it — issued, never serviced. Unlike a crash this heals.
-      if (ev.is_write) {
-        ++stats_.writes_issued;
-      } else {
-        ++stats_.reads_issued;
-      }
+      // Lossy link: swallowed like a crash would swallow it, but unlike a
+      // crash this heals.
       return;
     }
     std::uint64_t min_us = opts_.min_delay_us;
@@ -56,11 +48,6 @@ void SimFarm::Enqueue(Event ev) {
     const auto delay = std::chrono::microseconds(rng_.Between(min_us, max_us));
     ev.due = std::chrono::steady_clock::now() + delay;
     ev.seq = next_seq_++;
-    if (ev.is_write) {
-      ++stats_.writes_issued;
-    } else {
-      ++stats_.reads_issued;
-    }
     ++in_flight_;
     queue_.push(std::move(ev));
   }
@@ -87,15 +74,14 @@ void SimFarm::IssueWrite(ProcessId p, RegisterId r, Value v,
   Enqueue(std::move(ev));
 }
 
-void SimFarm::IssueMerge(ProcessId p, RegisterId r, Value delta,
-                         WriteHandler done) {
+void SimFarm::IssueRmw(ProcessId p, RegisterId r, RmwFunction fn,
+                       RmwHandler done) {
   Event ev;
   ev.p = p;
   ev.r = r;
-  ev.is_write = true;
-  ev.is_merge = true;
-  ev.value = std::move(delta);
-  ev.on_write = std::move(done);
+  ev.is_write = true;  // an RMW mutates the block
+  ev.rmw = std::move(fn);
+  ev.on_rmw = std::move(done);
   Enqueue(std::move(ev));
 }
 
@@ -177,9 +163,12 @@ void SimFarm::ServiceLoop(std::stop_token stop) {
       continue;
     }
     Value read_result;
-    if (ev.is_merge) {
-      // Coded-cell linearization point: join the delta into the cell.
-      store_.Apply(ev.r, MergeCodedCell(store_.Get(ev.r), ev.value));
+    if (ev.rmw) {
+      // RMW linearization point: store fn(previous), respond with
+      // previous. fn is a pure value transform (rmw_client.h), so running
+      // it under mu_ is safe.
+      read_result = store_.Get(ev.r);
+      store_.Apply(ev.r, ev.rmw(read_result));
       ++stats_.writes_completed;
     } else if (ev.is_write) {
       store_.Apply(ev.r, std::move(ev.value));  // linearization point
@@ -191,7 +180,9 @@ void SimFarm::ServiceLoop(std::stop_token stop) {
     // Run the handler without holding the lock: it may issue further
     // base-register operations (e.g. the reader write-back in Section 6).
     mu_.Unlock();
-    if (ev.is_write) {
+    if (ev.rmw) {
+      if (ev.on_rmw) ev.on_rmw(std::move(read_result));
+    } else if (ev.is_write) {
       if (ev.on_write) ev.on_write();
     } else {
       if (ev.on_read) ev.on_read(std::move(read_result));

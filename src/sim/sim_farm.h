@@ -12,6 +12,12 @@
 /// validate the positive results under thousands of random schedules. For
 /// proof-schedule control (covering writes, selective flushing) use
 /// sim::DetFarm instead.
+///
+/// The disks are active (rmw_client.h): besides plain reads and writes
+/// they serve atomic read-modify-write, the primitive of the Active Disk
+/// Paxos baseline [22], and every coded-cell merge is one such RMW. Code
+/// that must stay inside the paper's plain-NAD model takes the farm as a
+/// BaseRegisterClient and cannot reach IssueRmw.
 #pragma once
 
 #include <chrono>
@@ -21,16 +27,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/base_register.h"
 #include "common/sync.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "faults/fault_sink.h"
 #include "sim/register_store.h"
+#include "sim/rmw_client.h"
 
 namespace nadreg::sim {
 
-class SimFarm : public BaseRegisterClient, public faults::FaultSink {
+class SimFarm : public ActiveDiskClient, public faults::FaultSink {
  public:
   struct Options {
     std::uint64_t seed = 0x5eed;
@@ -50,11 +56,10 @@ class SimFarm : public BaseRegisterClient, public faults::FaultSink {
   void IssueWrite(ProcessId p, RegisterId r, Value v,
                   WriteHandler done) override;
 
-  /// Coded-cell merges are served like writes, but the linearization point
-  /// applies MergeCodedCell(current, delta) instead of overwriting.
-  bool SupportsMerge() const override { return true; }
-  void IssueMerge(ProcessId p, RegisterId r, Value delta,
-                  WriteHandler done) override;
+  /// Served like a write (it counts as one in stats()); the linearization
+  /// point stores fn(previous) and the handler receives previous.
+  void IssueRmw(ProcessId p, RegisterId r, RmwFunction fn,
+                RmwHandler done) override;
 
   // --- faults::FaultSink ---------------------------------------------------
 
@@ -71,7 +76,8 @@ class SimFarm : public BaseRegisterClient, public faults::FaultSink {
   /// Clears the delay override and drop rate for d (crashes persist).
   void Heal(DiskId d) override;
 
-  /// Counters of issued/completed base-register operations.
+  /// Counters of issued/completed base-register operations (an RMW counts
+  /// as a write).
   OpStats stats() const;
 
   /// Number of operations issued but not yet delivered or dropped.
@@ -87,10 +93,11 @@ class SimFarm : public BaseRegisterClient, public faults::FaultSink {
     ProcessId p = kNoProcess;
     RegisterId r;
     bool is_write = false;
-    bool is_merge = false;  // implies is_write; value holds the delta
     Value value;
+    RmwFunction rmw;  // set for an RMW, which also is_write
     ReadHandler on_read;
     WriteHandler on_write;
+    RmwHandler on_rmw;
   };
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {

@@ -1,90 +1,35 @@
-// Tests for the active-disk substrate, the ranked register, and Active
-// Disk Paxos (the Chockler–Malkhi related-work baseline): RMW atomicity,
-// ranked-register commit/abort semantics, crash tolerance, consensus
+// Tests for the ranked register and Active Disk Paxos (the Chockler–Malkhi
+// related-work baseline) on SimFarm's active disks: ranked-register
+// commit/abort semantics, crash tolerance, a fault plan, consensus
 // agreement under concurrency, and uniformity (no process count anywhere).
+// RMW atomicity itself is tested with the farm (test_sim_farm.cc).
 #include "common/sync.h"
 #include "apps/ranked_register.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/config.h"
-#include "sim/active_farm.h"
+#include "faults/fault_plan.h"
+#include "faults/injector.h"
+#include "obs/metrics.h"
+#include "sim/sim_farm.h"
 
 namespace nadreg::apps {
 namespace {
 
 using core::FarmConfig;
-using sim::ActiveDiskFarm;
+using sim::SimFarm;
 
-ActiveDiskFarm::Options Fast(std::uint64_t seed = 1) {
-  ActiveDiskFarm::Options o;
+SimFarm::Options Fast(std::uint64_t seed = 1) {
+  SimFarm::Options o;
   o.seed = seed;
   o.max_delay_us = 50;
   return o;
-}
-
-TEST(ActiveDiskFarm, RmwIsAtomicIncrement) {
-  ActiveDiskFarm farm(Fast());
-  RegisterId r{0, 0};
-  std::atomic<int> done{0};
-  constexpr int kOps = 200;
-  auto bump = [](const Value& v) {
-    const int n = v.empty() ? 0 : std::stoi(v);
-    return std::to_string(n + 1);
-  };
-  {
-    std::vector<std::jthread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&] {
-        for (int i = 0; i < kOps / 4; ++i) {
-          farm.IssueRmw(1, r, bump, [&](Value) { ++done; });
-        }
-      });
-    }
-  }
-  while (done.load() < kOps) std::this_thread::yield();
-  // Atomic RMW: no lost updates despite 4 concurrent incrementers.
-  EXPECT_EQ(farm.Peek(r), std::to_string(kOps));
-}
-
-TEST(ActiveDiskFarm, RmwReturnsPreviousValue) {
-  ActiveDiskFarm farm(Fast());
-  RegisterId r{0, 0};
-  Mutex mu;
-  CondVar cv;
-  std::string prev = "unset";
-  bool done = false;
-  farm.IssueWrite(1, r, "old", nullptr);
-  // Wait for the write to land, then RMW.
-  while (farm.Peek(r) != "old") std::this_thread::yield();
-  farm.IssueRmw(
-      1, r, [](const Value&) { return std::string("new"); },
-      [&](Value p) {
-        MutexLock lock(mu);
-        prev = std::move(p);
-        done = true;
-        cv.NotifyAll();
-      });
-  MutexLock lock(mu);
-  cv.Wait(mu, [&] { return done; });
-  EXPECT_EQ(prev, "old");
-  EXPECT_EQ(farm.Peek(r), "new");
-}
-
-TEST(ActiveDiskFarm, CrashedBlockNeverRespondsToRmw) {
-  ActiveDiskFarm farm(Fast());
-  RegisterId r{0, 0};
-  farm.CrashRegister(r);
-  std::atomic<bool> responded{false};
-  farm.IssueRmw(1, r, [](const Value& v) { return v; },
-                [&](Value) { responded = true; });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(responded.load());
 }
 
 TEST(RankedBlockCodec, Roundtrip) {
@@ -102,7 +47,7 @@ TEST(RankedBlockCodec, EmptyIsVirgin) {
 }
 
 TEST(RankedRegister, FirstWriteCommits) {
-  ActiveDiskFarm farm(Fast());
+  SimFarm farm(Fast());
   FarmConfig cfg{1};
   RankedRegister reg(farm, cfg, 1, 1);
   EXPECT_TRUE(reg.Write(10, "v"));
@@ -114,7 +59,7 @@ TEST(RankedRegister, FirstWriteCommits) {
 TEST(RankedRegister, HigherReadInvalidatesLowerWrite) {
   // The defining ranked-register property: after rr-read(20), a write
   // with rank 10 must abort.
-  ActiveDiskFarm farm(Fast());
+  SimFarm farm(Fast());
   FarmConfig cfg{1};
   RankedRegister reader(farm, cfg, 1, 1);
   RankedRegister writer(farm, cfg, 1, 2);
@@ -125,7 +70,7 @@ TEST(RankedRegister, HigherReadInvalidatesLowerWrite) {
 }
 
 TEST(RankedRegister, HigherWriteBeatsLowerWrite) {
-  ActiveDiskFarm farm(Fast());
+  SimFarm farm(Fast());
   FarmConfig cfg{1};
   RankedRegister a(farm, cfg, 1, 1);
   RankedRegister b(farm, cfg, 1, 2);
@@ -136,7 +81,7 @@ TEST(RankedRegister, HigherWriteBeatsLowerWrite) {
 }
 
 TEST(RankedRegister, ReadSeesCommittedWriteDespiteCrash) {
-  ActiveDiskFarm farm(Fast());
+  SimFarm farm(Fast());
   FarmConfig cfg{1};
   RankedRegister writer(farm, cfg, 1, 1);
   EXPECT_TRUE(writer.Write(5, "durable"));
@@ -148,7 +93,7 @@ TEST(RankedRegister, ReadSeesCommittedWriteDespiteCrash) {
 }
 
 TEST(RankedRegister, DistinctObjectsIndependent) {
-  ActiveDiskFarm farm(Fast());
+  SimFarm farm(Fast());
   FarmConfig cfg{1};
   RankedRegister a(farm, cfg, 1, 1);
   RankedRegister b(farm, cfg, 2, 1);
@@ -158,7 +103,7 @@ TEST(RankedRegister, DistinctObjectsIndependent) {
 }
 
 TEST(ActiveDiskPaxos, SoloProposerDecides) {
-  ActiveDiskFarm farm(Fast());
+  SimFarm farm(Fast());
   FarmConfig cfg{1};
   ActiveDiskPaxos paxos(farm, cfg, 1, 42);
   Rng rng(1);
@@ -166,7 +111,7 @@ TEST(ActiveDiskPaxos, SoloProposerDecides) {
 }
 
 TEST(ActiveDiskPaxos, SecondProposerAdoptsDecision) {
-  ActiveDiskFarm farm(Fast());
+  SimFarm farm(Fast());
   FarmConfig cfg{1};
   ActiveDiskPaxos p1(farm, cfg, 1, 1);
   ActiveDiskPaxos p2(farm, cfg, 1, 2);
@@ -177,7 +122,7 @@ TEST(ActiveDiskPaxos, SecondProposerAdoptsDecision) {
 
 TEST(ActiveDiskPaxos, UniformityHugeSparseProcessIds) {
   // No process count anywhere: ids from a huge sparse space just work.
-  ActiveDiskFarm farm(Fast());
+  SimFarm farm(Fast());
   FarmConfig cfg{1};
   Rng rng(3);
   ActiveDiskPaxos p1(farm, cfg, 1, 0x9fffful);
@@ -187,7 +132,7 @@ TEST(ActiveDiskPaxos, UniformityHugeSparseProcessIds) {
 }
 
 TEST(ActiveDiskPaxos, ToleratesDiskCrashMidRun) {
-  ActiveDiskFarm farm(Fast());
+  SimFarm farm(Fast());
   FarmConfig cfg{1};
   ActiveDiskPaxos p(farm, cfg, 1, 1);
   Rng rng(4);
@@ -195,10 +140,28 @@ TEST(ActiveDiskPaxos, ToleratesDiskCrashMidRun) {
   EXPECT_EQ(p.Propose("resilient", rng), "resilient");
 }
 
+TEST(ActiveDiskPaxos, DecidesUnderMinorityFaultPlan) {
+  // One disk crashed and one slowed, from the start: a majority of the
+  // 2t+1 = 3 disks still answers, so the proposer must still decide.
+  SimFarm farm(Fast());
+  auto plan = faults::FaultPlan::Parse(
+      "at 0ms crash-disk 0\n"
+      "at 0ms delay 1 0us 2ms\n");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  obs::Registry registry;
+  faults::FaultInjector injector(std::move(*plan), farm, &registry);
+  injector.ApplyThrough(std::chrono::microseconds(0));
+  ASSERT_TRUE(injector.done());
+  FarmConfig cfg{1};
+  ActiveDiskPaxos p(farm, cfg, 1, 1);
+  Rng rng(5);
+  EXPECT_EQ(p.Propose("under-faults", rng), "under-faults");
+}
+
 class ActiveDiskPaxosRace : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ActiveDiskPaxosRace, ConcurrentProposersAgree) {
-  ActiveDiskFarm farm(Fast(GetParam()));
+  SimFarm farm(Fast(GetParam()));
   FarmConfig cfg{1};
   constexpr int kProposers = 5;
   Mutex mu;

@@ -1,5 +1,7 @@
 // Unit tests for the randomized threaded disk-farm simulator: delivery,
-// crash (unresponsive) semantics, lazy register materialization, stats.
+// crash (unresponsive) semantics, lazy register materialization, stats,
+// and the active-disk primitive: atomic read-modify-write, and coded-cell
+// merges served as RMWs.
 #include "common/sync.h"
 #include "sim/sim_farm.h"
 
@@ -10,6 +12,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/coded_cell.h"
 
 namespace nadreg::sim {
 namespace {
@@ -194,6 +198,125 @@ TEST(SimFarm, ManyConcurrentIssuersAllComplete) {
   auto s = farm.stats();
   EXPECT_EQ(s.writes_issued, static_cast<std::uint64_t>(kThreads * kOpsPerThread));
   EXPECT_EQ(s.writes_completed, s.writes_issued);
+}
+
+TEST(SimFarm, RmwIsAtomicIncrement) {
+  SimFarm farm(Fast());
+  RegisterId r{0, 0};
+  std::atomic<int> done{0};
+  constexpr int kOps = 200;
+  auto bump = [](const Value& v) {
+    const int n = v.empty() ? 0 : std::stoi(v);
+    return std::to_string(n + 1);
+  };
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kOps / 4; ++i) {
+          farm.IssueRmw(1, r, bump, [&](Value) { ++done; });
+        }
+      });
+    }
+  }
+  while (done.load() < kOps) std::this_thread::yield();
+  // Atomic RMW: no lost updates despite 4 concurrent incrementers.
+  EXPECT_EQ(farm.Peek(r), std::to_string(kOps));
+}
+
+TEST(SimFarm, RmwReturnsPreviousValue) {
+  SimFarm farm(Fast());
+  RegisterId r{0, 0};
+  Mutex mu;
+  CondVar cv;
+  std::string prev = "unset";
+  bool done = false;
+  farm.IssueWrite(1, r, "old", nullptr);
+  // Wait for the write to land, then RMW.
+  while (farm.Peek(r) != "old") std::this_thread::yield();
+  farm.IssueRmw(
+      1, r, [](const Value&) { return std::string("new"); },
+      [&](Value p) {
+        MutexLock lock(mu);
+        prev = std::move(p);
+        done = true;
+        cv.NotifyAll();
+      });
+  MutexLock lock(mu);
+  cv.Wait(mu, [&] { return done; });
+  EXPECT_EQ(prev, "old");
+  EXPECT_EQ(farm.Peek(r), "new");
+}
+
+TEST(SimFarm, CrashedBlockNeverRespondsToRmw) {
+  SimFarm farm(Fast());
+  RegisterId r{0, 0};
+  farm.CrashRegister(r);
+  std::atomic<bool> responded{false};
+  farm.IssueRmw(1, r, [](const Value& v) { return v; },
+                [&](Value) { responded = true; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(responded.load());
+}
+
+TEST(SimFarm, RmwHonoursDiskFaults) {
+  SimFarm farm(Fast());
+  RegisterId r{1, 0};
+  auto set = [](std::string v) {
+    return [v](const Value&) { return v; };
+  };
+  // A lossy link swallows every RMW: issued, never queued, never applied.
+  farm.DropRequests(1, 1000);
+  std::atomic<bool> responded{false};
+  farm.IssueRmw(1, r, set("dropped"), [&](Value) { responded = true; });
+  std::this_thread::sleep_for(50ms);
+  EXPECT_FALSE(responded.load());
+  EXPECT_TRUE(farm.Peek(r).empty());
+  EXPECT_EQ(farm.InFlight(), 0u);
+  EXPECT_EQ(farm.stats().writes_issued, 1u);
+
+  // Healed, the disk serves RMWs again, at the per-disk delay if one is
+  // set.
+  farm.Heal(1);
+  farm.DelayDisk(1, 20000, 20000);
+  Counter done;
+  std::string prev = "unset";
+  const auto t0 = std::chrono::steady_clock::now();
+  farm.IssueRmw(1, r, set("healed"), [&](Value p) {
+    prev = std::move(p);
+    done.Bump();
+  });
+  ASSERT_TRUE(done.WaitFor(1));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, 20ms);
+  EXPECT_TRUE(prev.empty());
+  EXPECT_EQ(farm.Peek(r), "healed");
+  EXPECT_EQ(farm.stats().writes_completed, 1u);
+}
+
+TEST(SimFarm, MergeJoinsCodedCellAndCountsAsWrite) {
+  SimFarm farm(Fast());
+  ASSERT_TRUE(farm.SupportsMerge());
+  RegisterId r{2, 3};
+  CodedFragment frag;
+  frag.tag = CodedTag{1, 7};
+  frag.index = 2;
+  frag.n = 4;
+  frag.k = 2;
+  frag.bytes = "fragment";
+  frag.value_size = 16;
+  frag.crc = Crc32(frag.bytes);
+  const std::string put = EncodeCodedPut(frag);
+  const std::string commit = EncodeCodedCommit(frag.tag);
+  Counter done;
+  farm.IssueMerge(1, r, put, [&] { done.Bump(); });
+  ASSERT_TRUE(done.WaitFor(1));
+  farm.IssueMerge(1, r, commit, [&] { done.Bump(); });
+  ASSERT_TRUE(done.WaitFor(2));
+  EXPECT_EQ(farm.Peek(r), MergeCodedCell(MergeCodedCell("", put), commit));
+  auto s = farm.stats();
+  EXPECT_EQ(s.writes_issued, 2u);
+  EXPECT_EQ(s.writes_completed, 2u);
+  EXPECT_EQ(s.reads_issued, 0u);
 }
 
 // Parameterized over seeds: whatever the (racy, seed-influenced) delivery
