@@ -29,8 +29,9 @@
 //        --payload N         write value size in bytes (default 1024)
 //        --baseline FILE     embed FILE's JSON object as "baseline" in the
 //                            output (the pre-change numbers)
-//        --check FILE        run --quick and exit 1 if allocs_per_op
-//                            regressed >10% vs FILE's current section
+//        --check FILE        run --quick with FILE's event_loops and exit 1
+//                            if allocs_per_op regressed >10% vs FILE's
+//                            current section
 //        --out FILE          output path (default BENCH_hotpath.json)
 #include <algorithm>
 #include <atomic>
@@ -268,8 +269,21 @@ int main(int argc, char** argv) {
     servers.push_back(std::move(*server));
   }
 
+  // The gate compares like with like: allocs/op depends on how many
+  // loops share the pipelines, so --check runs at the loop count the
+  // committed budget was measured with (default: one per core).
+  std::string committed;
+  nadreg::nad::NadClient::Options client_opts;
+  if (check_path != nullptr) {
+    committed = ReadFile(check_path);
+    const double loops = LastNumberFor(committed, "event_loops");
+    if (loops >= 1) {
+      client_opts.num_event_loops = static_cast<std::size_t>(loops);
+    }
+  }
+
   Bench bench;
-  auto client = nadreg::nad::NadClient::Connect(endpoints);
+  auto client = nadreg::nad::NadClient::Connect(endpoints, client_opts);
   if (!client.ok()) {
     std::fprintf(stderr, "connect: %s\n", client.status().ToString().c_str());
     return 1;
@@ -341,7 +355,6 @@ int main(int argc, char** argv) {
   if (check_path != nullptr) {
     // CI regression gate: the committed BENCH_hotpath.json's current
     // section is the allocation budget; >10% more allocs/op fails.
-    const std::string committed = ReadFile(check_path);
     const double budget = LastNumberFor(committed, "allocs_per_op");
     if (budget < 0) {
       std::fprintf(stderr, "check: no allocs_per_op in %s\n", check_path);
@@ -388,12 +401,13 @@ int main(int argc, char** argv) {
                  "    \"batch_p50_us\": %llu,\n"
                  "    \"batch_p99_us\": %llu,\n"
                  "    \"allocs_per_op\": %.3f,\n"
-                 "    \"bytes_copied_per_op\": %.1f\n"
+                 "    \"bytes_copied_per_op\": %.1f,\n"
+                 "    \"event_loops\": %zu\n"
                  "  }",
                  r.total_ops, r.elapsed_sec, r.ops_per_sec,
                  static_cast<unsigned long long>(r.p50_us),
                  static_cast<unsigned long long>(r.p99_us), r.allocs_per_op,
-                 r.bytes_copied_per_op);
+                 r.bytes_copied_per_op, bench.client->NumEventLoops());
     if (!baseline.empty()) {
       const double base_ops = LastNumberFor(baseline, "ops_per_sec");
       const double base_allocs = LastNumberFor(baseline, "allocs_per_op");

@@ -17,10 +17,9 @@ finding. Unknown locks (ad-hoc waiter/test mutexes) have no rank and
 are ignored; lambda bodies are separate execution contexts and start
 with an empty held set.
 
-Deliberately out of scope: explicit Lock()/Unlock() pairs (one site,
-`QuiesceGuard`, the documented NO_THREAD_SAFETY_ANALYSIS island whose
-ascending-stripe order a runtime assert checks) and inter-procedural
-holds (a REQUIRES-annotated callee is the TSA side's job).
+Deliberately out of scope: explicit Lock()/Unlock() pairs (TSA checks
+their pairing) and inter-procedural holds (a REQUIRES-annotated callee
+is the TSA side's job).
 
 The companion pass `lock-manifest` keeps the manifest honest against
 DESIGN.md §12: every hierarchy-table row must have a manifest entry of

@@ -10,8 +10,8 @@
 ///
 /// Ownership and lifetime rules (DESIGN.md §14):
 ///  * Single-owner: an Arena belongs to exactly one connection and is
-///    touched only by that connection's owning thread (the client's
-///    event loop / the server's per-connection serve thread) — the same
+///    touched only by that connection's owning thread (the client's or
+///    the server's event loop) — the same
 ///    single-writer rule as the rest of the connection state. There is
 ///    deliberately no mutex; a debug build asserts the rule.
 ///  * Everything allocated from an Arena dies at the next Reset(). A

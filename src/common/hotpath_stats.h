@@ -10,9 +10,8 @@
 /// the zero-copy framing work, i.e. every remaining user-space copy:
 ///   * client: materializing a decoded read-response value for its
 ///     handler (the one copy the handler-owns-its-Value contract needs);
-///   * server: copying a stored value into the response arena under the
-///     stripe lock (reads), assigning a received value into the
-///     register's string (writes);
+///   * server: copying a stored value into the response arena (reads),
+///     assigning a received value into the register's string (writes);
 ///   * both: RxBuffer compaction/growth moving unconsumed bytes, and the
 ///     cold PutBytesCopy staging path.
 /// The pre-change pipeline additionally counted: staging a write value,

@@ -5,7 +5,7 @@
 /// nadreg::Mutex, MutexLock and CondVar are thin wrappers over the std
 /// primitives carrying Clang Thread Safety Analysis attributes (see
 /// common/thread_annotations.h), so the locking discipline — which fields
-/// a mutex guards, which functions require it, the stripe→journal lock
+/// a mutex guards, which functions require it, the §12 lock
 /// order — is machine-checked by a Clang build with
 /// -DNADREG_THREAD_SAFETY=ON instead of living in comments and TSan runs.
 ///

@@ -65,6 +65,7 @@
 #define RETURN_CAPABILITY(x) NADREG_THREAD_ANNOTATION(lock_returned(x))
 
 /// Escape hatch for code the analysis cannot follow (e.g. locking a
-/// dynamic collection of stripes). Use sparingly, with a comment.
+/// dynamic collection of mutexes). Unused today; use only with a comment
+/// that discharges the proof by hand.
 #define NO_THREAD_SAFETY_ANALYSIS \
   NADREG_THREAD_ANNOTATION(no_thread_safety_analysis)

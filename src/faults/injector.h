@@ -73,7 +73,7 @@ class FaultInjector {
   FaultSink& sink_;
   obs::Counter& injected_total_;
   // Set in the ctor, read-only after; the Registry locks itself (§12
-  // rank 5).
+  // rank 3).
   // lint-allow(tsa-coverage): set once in the ctor
   obs::Registry* registry_;
 

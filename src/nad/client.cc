@@ -768,14 +768,6 @@ void NadClient::OnLinkBroken(Conn* conn) {
   for (StatsHandler& handler : dead_stats) {
     if (handler) handler(Status::Unavailable("stats: connection lost"));
   }
-  if (!options_.enable_reconnect) {
-    // Pre-fault-injection behaviour: a dead connection stays dead and
-    // the disk appears crashed forever. Armed sweeps keep expiring what
-    // remains pending.
-    conn->link = Conn::Link::kDown;
-    conn->suspected_until_us.store(kSuspectForever, std::memory_order_relaxed);
-    return;
-  }
   conn->link = Conn::Link::kBackoff;
   ScheduleRedial(conn);
 }

@@ -122,9 +122,6 @@ namespace nadreg::nad {
 /// nested class's member initializers are not usable in a default
 /// argument of its own enclosing class.
 struct ClientOptions {
-  /// When false, a dead connection stays dead (the pre-fault-injection
-  /// behaviour: the disk appears crashed forever).
-  bool enable_reconnect = true;
   /// Per-operation expiry budget. Zero = never expire (an unanswered
   /// op stays pending forever, exactly the paper's unresponsive mode).
   /// An OpOptions deadline passed to Submit overrides this per call.
@@ -179,7 +176,7 @@ class NadClient : public BaseRegisterClient {
     static Op Read(RegisterId r, ReadHandler done);
     static Op Write(RegisterId r, Value v, WriteHandler done);
     /// Coded-cell merge (common/coded_cell.h): the server joins `delta`
-    /// into the register under its stripe lock. Rides the write path
+    /// into the register at its linearization point. Rides the write path
     /// end to end — framing, batching, expiry, and retransmit after a
     /// reconnect (the join is idempotent, so a replay is harmless by
     /// construction, not just by the single-writer discipline).

@@ -18,6 +18,7 @@ namespace {
 std::uint32_t TranslateEvents(std::uint32_t ep) {
   std::uint32_t out = 0;
   if (ep & (EPOLLIN | EPOLLRDHUP)) out |= EventLoop::kReadable;
+  if (ep & EPOLLRDHUP) out |= EventLoop::kPeerClosed;
   if (ep & EPOLLOUT) out |= EventLoop::kWritable;
   if (ep & (EPOLLERR | EPOLLHUP)) out |= EventLoop::kError;
   return out;
@@ -71,6 +72,15 @@ void EventLoop::Stop() {
 
 void EventLoop::Join() {
   if (thread_.joinable()) thread_.join();
+  MarkExited();  // also covers a loop that was never started
+}
+
+void EventLoop::MarkExited() {
+  {
+    MutexLock lock(inbox_mu_);
+    exited_ = true;
+  }
+  ran_cv_.NotifyAll();
 }
 
 void EventLoop::Post(Task task) {
@@ -84,6 +94,31 @@ void EventLoop::Post(Task task) {
   // (Run's pre-wait peek), so the write+read syscall pair would be pure
   // overhead. Cross-thread posts still wake as before.
   if (!OnLoopThread()) WakeUp();
+}
+
+bool EventLoop::RunAndWait(const Task& task) {
+  if (OnLoopThread()) {
+    task();
+    return true;
+  }
+  bool ran = false;
+  MutexLock lock(inbox_mu_);
+  if (exited_) return false;
+  // The wrapper runs on the loop thread before Run can exit, so `task`
+  // and `ran` outlive it; a wrapper left in the inbox at exit is
+  // destroyed unrun.
+  inbox_.push_back([this, &task, &ran] {
+    task();
+    MutexLock done(inbox_mu_);
+    ran = true;
+    ran_cv_.NotifyAll();
+  });
+  WakeUp();
+  ran_cv_.Wait(inbox_mu_, [&] {
+    inbox_mu_.AssertHeld();
+    return ran || exited_;
+  });
+  return ran;
 }
 
 void EventLoop::WakeUp() {
@@ -175,6 +210,7 @@ void EventLoop::Run(std::stop_token stop) {
     }
     wheel_.Advance(TimerWheel::Clock::now());
   }
+  MarkExited();
 }
 
 void EventLoop::Die(std::vector<Task>* tasks) {

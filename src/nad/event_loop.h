@@ -1,18 +1,22 @@
 /// \file
-/// Single-threaded epoll event loop hosting the client's connections.
+/// Single-threaded epoll event loop: the one io core of the client and
+/// the server.
 ///
-/// Each NadClient owns N loops (Options::num_event_loops); each loop owns
-/// a disjoint subset of the connections and is the *only* thread that
-/// touches their sockets, queues, pending-op maps, timers, and breakers —
-/// the single-writer rule that replaced the old send_mu → pending_mu
-/// nesting (DESIGN.md §12). The sole cross-thread entry point is Post():
-/// an eventfd-woken FIFO inbox guarded by the loop's only mutex.
+/// Each NadClient owns N loops (Options::num_event_loops) and each
+/// NadServer owns one. A loop is the *only* thread that touches the
+/// sockets, queues, timers and other state of the connections it hosts —
+/// the single-writer rule (DESIGN.md §12). The cross-thread entry points
+/// are Post() and its blocking twin RunAndWait(): an eventfd-woken FIFO
+/// inbox guarded by the loop's only mutex.
 ///
 /// Sockets register edge-triggered (EPOLLET), so watchers must drain
 /// reads to EAGAIN and write until EAGAIN before relying on the next
-/// readiness edge. Timers live on a per-loop TimerWheel advanced every
-/// iteration; the epoll_wait timeout is bounded by the wheel's earliest
-/// deadline (and is infinite when both the wheel and inbox are idle).
+/// readiness edge. A read shorter than its buffer also shows the socket
+/// was emptied — new bytes raise a new edge — unless kPeerClosed was
+/// reported: then no edge follows, and reads go on to the close. Timers
+/// live on a per-loop TimerWheel advanced every iteration; the
+/// epoll_wait timeout is bounded by the wheel's earliest deadline (and
+/// is infinite when both the wheel and inbox are idle).
 #pragma once
 
 #include <atomic>
@@ -37,6 +41,9 @@ class EventLoop {
   static constexpr std::uint32_t kWritable = 1u << 1;
   /// Error/hangup on the fd; the watcher should tear the link down.
   static constexpr std::uint32_t kError = 1u << 2;
+  /// The peer shut its sending side (comes with kReadable): reads drain
+  /// what it sent, then report the close.
+  static constexpr std::uint32_t kPeerClosed = 1u << 3;
 
   /// A registered fd's owner. OnIoReady always runs on the loop thread.
   class IoWatcher {
@@ -67,6 +74,12 @@ class EventLoop {
   /// entirely (the loop re-checks its inbox before sleeping), so
   /// handler-driven re-submission costs no syscalls.
   void Post(Task task);
+
+  /// Runs `task` on the loop thread and returns once it has run — the
+  /// blocking form of Post, for calls that must have taken effect when
+  /// they return. Runs `task` inline when called on the loop thread.
+  /// Returns false, without running it, once the loop has exited.
+  bool RunAndWait(const Task& task);
 
   /// Installs a handler that runs on the loop thread if the loop dies of
   /// an unrecoverable error (a non-EINTR epoll_wait failure). It fires
@@ -102,6 +115,8 @@ class EventLoop {
   /// Unrecoverable loop failure: publishes dead(), runs the fatal
   /// handler, then drains the inbox one last time (`tasks` is scratch).
   void Die(std::vector<Task>* tasks);
+  /// Publishes that no task will run any more and wakes RunAndWait.
+  void MarkExited();
 
   // Both fds are opened before the loop thread starts and closed in the
   // destructor after it joins; in between they are read-only values.
@@ -118,6 +133,10 @@ class EventLoop {
 
   Mutex inbox_mu_;
   std::vector<Task> inbox_ GUARDED_BY(inbox_mu_);
+  /// Set once Run has returned (or Join found no thread): RunAndWait
+  /// callers stop waiting for tasks that will never run.
+  bool exited_ GUARDED_BY(inbox_mu_) = false;
+  CondVar ran_cv_;  // RunAndWait: a task ran, or the loop exited
 
   // timers() contract: loop-thread only.
   // lint-allow(tsa-coverage): loop-thread confined

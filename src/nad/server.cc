@@ -1,39 +1,93 @@
 #include "nad/server.h"
 
-#include <chrono>
+#include <sys/uio.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+
+#include "common/arena.h"
+#include "common/coded_cell.h"
 #include "common/hotpath_stats.h"
 #include "common/log.h"
-#include "nad/protocol.h"
 
 namespace nadreg::nad {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// iovecs per sendmsg; a longer response queue takes several calls.
+constexpr std::size_t kMaxIov = 256;
+/// Receive granularity when no partial frame says how much is coming.
+constexpr std::size_t kRecvBytes = 64 * 1024;
+
+}  // namespace
+
+/// One client connection; loop-confined like the rest of the daemon.
+struct NadServer::Conn final : EventLoop::IoWatcher {
+  /// Where the current burst stands in the fault filter.
+  enum class Filter : std::uint8_t { kPending, kServe, kDrop };
+
+  Conn(NadServer* s, Socket so, Rng r)
+      : server(s), sock(std::move(so)), rng(r) {}
+
+  void OnIoReady(std::uint32_t events) override {
+    server->OnConnReady(this, events);
+  }
+  bool parked() const { return want_write || hold_timer != 0; }
+
+  NadServer* server;
+  Socket sock;
+  Rng rng;  // drop and delay rolls
+  RxBuffer rx;
+  /// The burst's responses: spans into `arena`, unsent from
+  /// chunks[head] + off on.
+  Arena arena;
+  std::vector<WireChunk> chunks;
+  std::size_t head = 0;
+  std::size_t off = 0;
+  bool want_write = false;        // parked until EPOLLOUT
+  std::uint64_t hold_timer = 0;   // parked on a fault timer (wheel id)
+  /// The peer shut its side: read to the close, not to a short read.
+  bool peer_closed = false;
+  Filter filter = Filter::kPending;
+};
 
 Expected<std::unique_ptr<NadServer>> NadServer::Start(Options opts) {
   auto listener = Listener::Bind(opts.port, opts.host);
   if (!listener) return listener.status();
+  if (Status s = SetNonBlocking(listener->socket()); !s.ok()) return s;
+  auto loop = EventLoop::Create();
+  if (!loop) return loop.status();
   // Cannot use make_unique: the constructor is private.
-  std::unique_ptr<NadServer> server(new NadServer(opts));
-  if (!opts.data_path.empty()) {
-    sim::RegisterStore recovered_store;
-    auto recovered = RecoverState(opts.data_path, &recovered_store);
+  std::unique_ptr<NadServer> server(new NadServer(std::move(opts)));
+  const std::string& data_path = server->opts_.data_path;
+  if (!data_path.empty()) {
+    auto recovered = RecoverState(data_path, &server->store_);
     if (!recovered.ok()) return recovered.status();
-    server->store_.Load(recovered_store);
     server->recovered_ = *recovered;
-    // Still single-threaded here; the lock only satisfies the guard.
-    MutexLock jlock(server->journal_mu_);
-    if (Status s = server->journal_.Open(opts.data_path + ".log"); !s.ok()) {
+    if (Status s = server->journal_.Open(data_path + ".log"); !s.ok()) {
       return s;
     }
   }
   server->port_ = listener->port();
   server->listener_ = std::make_unique<Listener>(std::move(*listener));
-  server->accept_thread_ = std::jthread([s = server.get()] { s->AcceptLoop(); });
+  server->loop_ = std::move(*loop);
+  // The loop thread does not exist yet, so nothing races this Watch.
+  if (Status s = server->loop_->Watch(server->listener_->socket().fd(),
+                                      server.get());
+      !s.ok()) {
+    return s;
+  }
+  server->loop_->Start();
   return server;
 }
 
 NadServer::NadServer(Options opts)
-    : opts_(opts),
-      rng_(opts.seed),
+    : opts_(std::move(opts)),
+      rng_(opts_.seed),
+      delay_min_us_(opts_.min_delay_us),
+      delay_max_us_(opts_.max_delay_us),
       reads_served_(&metrics_.GetCounter("nad.server.reads")),
       writes_served_(&metrics_.GetCounter("nad.server.writes")),
       merges_served_(&metrics_.GetCounter("nad.server.merges")),
@@ -46,93 +100,293 @@ NadServer::NadServer(Options opts)
 NadServer::~NadServer() { Stop(); }
 
 void NadServer::Stop() {
-  {
-    MutexLock lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-    for (Socket* conn : live_conns_) conn->Shutdown();
+  if (stopped_.exchange(true)) return;
+  if (loop_) {
+    loop_->Stop();
+    loop_->Join();
   }
-  fault_cv_.NotifyAll();  // release any connection held by a stall
-  if (listener_) listener_->Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  conn_threads_.clear();  // joins
+  // The loop thread is gone; this thread owns the state now.
+  conns_.clear();
+  closed_.clear();
+  listener_.reset();
 }
 
-void NadServer::CrashRegister(const RegisterId& r) { store_.CrashRegister(r); }
+void NadServer::CrashRegister(const RegisterId& r) {
+  loop_->RunAndWait([&] { store_.CrashRegister(r); });
+}
 
-void NadServer::CrashDisk(DiskId d) { store_.CrashDisk(d); }
+void NadServer::CrashDisk(DiskId d) {
+  loop_->RunAndWait([&] { store_.CrashDisk(d); });
+}
 
 void NadServer::DelayDisk(DiskId /*d*/, std::uint64_t min_us,
                           std::uint64_t max_us) {
-  delay_min_override_.store(min_us, std::memory_order_relaxed);
-  delay_max_override_.store(max_us, std::memory_order_relaxed);
+  loop_->RunAndWait([&] {
+    delay_min_us_ = min_us;
+    delay_max_us_ = max_us;
+  });
 }
 
 void NadServer::DropRequests(DiskId /*d*/, std::uint32_t permille) {
-  drop_permille_.store(permille, std::memory_order_relaxed);
+  loop_->RunAndWait([&] { drop_permille_ = permille; });
 }
 
 void NadServer::DisconnectDisk(DiskId /*d*/) {
-  // Sever every established connection but keep listening: unlike a
+  // Close every established connection but keep listening: unlike a
   // crash this is recoverable — a reconnecting client resumes.
-  MutexLock lock(mu_);
-  for (Socket* conn : live_conns_) conn->Shutdown();
+  loop_->RunAndWait([&] {
+    while (!conns_.empty()) Close(conns_.back().get());
+  });
 }
 
 void NadServer::StallDisk(DiskId /*d*/, std::chrono::milliseconds dur) {
-  MutexLock lock(mu_);
-  const auto until = std::chrono::steady_clock::now() + dur;
-  if (until > stall_until_) stall_until_ = until;
+  const auto until = Clock::now() + dur;
+  loop_->RunAndWait([&] { stall_until_ = std::max(stall_until_, until); });
 }
 
 void NadServer::Heal(DiskId /*d*/) {
-  delay_min_override_.store(kNoDelayOverride, std::memory_order_relaxed);
-  delay_max_override_.store(kNoDelayOverride, std::memory_order_relaxed);
-  drop_permille_.store(0, std::memory_order_relaxed);
-  {
-    MutexLock lock(mu_);
-    stall_until_ = std::chrono::steady_clock::time_point{};
-  }
-  fault_cv_.NotifyAll();  // release requests held by a cleared stall
+  loop_->RunAndWait([&] {
+    delay_min_us_ = opts_.min_delay_us;
+    delay_max_us_ = opts_.max_delay_us;
+    drop_permille_ = 0;
+    stall_until_ = {};
+    // Resume every held burst. Pump may close its own connection, so
+    // collect first.
+    std::vector<Conn*> held;
+    for (const auto& c : conns_) {
+      if (c->hold_timer == 0) continue;
+      loop_->timers().Cancel(c->hold_timer);
+      c->hold_timer = 0;
+      held.push_back(c.get());
+    }
+    for (Conn* c : held) Pump(c);
+  });
 }
 
 Status NadServer::Checkpoint() {
-  {
-    MutexLock jlock(journal_mu_);
-    if (!journal_.IsOpen()) return Status::Ok();  // volatile server
-  }
-  // Quiesce every stripe so no write can journal between the snapshot
-  // and the journal truncation (it would be lost on recovery). Lock
-  // order matches the write path: stripes first, then the journal.
-  auto stripes = store_.LockAll();
-  MutexLock jlock(journal_mu_);
-  if (Status s = WriteCheckpoint(opts_.data_path, stripes.Snapshot());
-      !s.ok()) {
-    return s;
-  }
-  return journal_.Reset();
+  // On the loop, between bursts: no write can journal between the
+  // snapshot and the journal truncation.
+  Status result = Status::Unavailable("nad-server: stopped");
+  loop_->RunAndWait([&] {
+    if (!journal_.IsOpen()) {
+      result = Status::Ok();  // volatile server
+      return;
+    }
+    result = WriteCheckpoint(opts_.data_path, store_);
+    if (result.ok()) result = journal_.Reset();
+  });
+  return result;
 }
 
 std::uint64_t NadServer::ServedCount() const {
   return served_.load(std::memory_order_relaxed);
 }
 
-void NadServer::AcceptLoop() {
+void NadServer::OnIoReady(std::uint32_t /*events*/) {
+  // Edge-triggered listener: accept until none is pending.
   for (;;) {
-    auto conn = listener_->Accept();
-    if (!conn) return;  // listener shut down
-    MutexLock lock(mu_);
-    if (stopping_) return;
-    Rng conn_rng = rng_.Fork();
-    conn_threads_.emplace_back(
-        [this, c = std::move(*conn), r = conn_rng]() mutable {
-          Serve(std::move(c), r);
-        });
+    auto sock = listener_->Accept();
+    if (!sock) return;
+    if (!SetNonBlocking(*sock).ok()) continue;
+    auto conn = std::make_unique<Conn>(this, std::move(*sock), rng_.Fork());
+    if (!loop_->Watch(conn->sock.fd(), conn.get()).ok()) continue;
+    conns_.push_back(std::move(conn));
   }
 }
 
+void NadServer::OnConnReady(Conn* c, std::uint32_t events) {
+  // A stale edge for a connection closed earlier in this epoll batch.
+  if (!c->sock.valid()) return;
+  if (events & EventLoop::kError) {
+    Close(c);
+    return;
+  }
+  if (events & EventLoop::kPeerClosed) c->peer_closed = true;
+  bool pump = (events & EventLoop::kReadable) != 0;
+  if ((events & EventLoop::kWritable) && c->want_write) {
+    c->want_write = false;
+    if (!Flush(c)) return;  // still backed up, or closed
+    pump = true;  // serve what the full send buffer held back
+  }
+  if (pump) Pump(c);
+}
+
+void NadServer::Pump(Conn* c) {
+  bool drained = false;
+  while (!c->parked()) {
+    const BurstEnd end = ServeBurst(c);
+    if (end == BurstEnd::kBadFrame) {
+      Close(c);
+      return;
+    }
+    // Queued answers leave even when the burst is held: a stall must
+    // not hold STATS.
+    if (!Flush(c) || end == BurstEnd::kHeld) return;
+    if (end == BurstEnd::kFull) continue;
+    if (drained || !Fill(c, &drained)) return;
+  }
+}
+
+bool NadServer::Fill(Conn* c, bool* drained) {
+  // hot-path-begin(server-fill)
+  RxBuffer& rx = c->rx;
+  std::size_t want = kRecvBytes;
+  if (rx.Size() >= 4) {
+    // A partial frame is buffered: make room for all of it at once.
+    std::uint32_t len = 0;
+    std::memcpy(&len, rx.Head(), 4);
+    want = std::max(want, 4 + static_cast<std::size_t>(len) - rx.Size());
+  }
+  rx.EnsureTail(want);
+  const std::size_t room = rx.TailCapacity();
+  std::size_t got = 0;
+  if (!RecvSome(c->sock, rx.Tail(), room, &got).ok()) {
+    Close(c);  // peer closed, or a socket error
+    return false;
+  }
+  rx.Commit(got);
+  // A short read emptied the socket; the next edge announces more bytes.
+  // Once the peer has closed no edge follows, so read on to the close.
+  *drained = got == 0 || (got < room && !c->peer_closed);
+  return true;
+  // hot-path-end
+}
+
+NadServer::BurstEnd NadServer::ServeBurst(Conn* c) {
+  // hot-path-begin(server-serve)
+  RxBuffer& rx = c->rx;
+  FrameWriter w(&c->arena, &c->chunks);
+  std::size_t ops = 0;
+  BurstEnd end = BurstEnd::kDrained;
+  while (rx.Size() >= 4) {
+    // About a frame's worth of responses ends the burst early.
+    if (c->arena.bytes_used() >= kMaxFrameBytes) {
+      end = BurstEnd::kFull;
+      break;
+    }
+    std::uint32_t len = 0;
+    std::memcpy(&len, rx.Head(), 4);
+    if (len > kMaxFrameBytes) {
+      end = BurstEnd::kBadFrame;
+      break;
+    }
+    if (rx.Size() - 4 < len) break;
+    auto msg = DecodeMessageView(std::string_view(rx.Head() + 4, len));
+    if (!msg) {
+      LOG_WARN << "nad-server: dropping malformed request: "
+               << msg.status().ToString();
+    } else if (msg->type == MsgType::kStatsReq) {
+      // Out-of-band observability: no fault filter, no crash check —
+      // STATS is not a disk operation.
+      AppendStats(msg->request_id, &w);
+    } else if (msg->type != MsgType::kReadReq &&
+               msg->type != MsgType::kWriteReq &&
+               msg->type != MsgType::kMergeReq) {
+      LOG_WARN << "nad-server: dropping non-request message";
+    } else if (c->filter == Conn::Filter::kPending && !FaultFilter(c)) {
+      end = BurstEnd::kHeld;
+      break;  // the frame stays buffered until the hold ends
+    } else if (c->filter == Conn::Filter::kDrop) {
+      dropped_faulted_->Inc();
+    } else {
+      // A crashed register omits its response; its neighbours answer.
+      ServeOpView(*msg, &w);
+      ++ops;
+    }
+    // The frame is served; the decode views into the buffer are dead.
+    rx.Consume(4 + len);
+  }
+  if (ops > 0) batch_size_->Observe(ops);
+  if (end != BurstEnd::kHeld) c->filter = Conn::Filter::kPending;
+  return end;
+  // hot-path-end
+}
+
+bool NadServer::Flush(Conn* c) {
+  // hot-path-begin(server-flush)
+  while (c->head < c->chunks.size()) {
+    std::array<iovec, kMaxIov> iov;
+    std::size_t iov_count = 0;
+    std::size_t skip = c->off;
+    for (std::size_t i = c->head;
+         i < c->chunks.size() && iov_count < iov.size(); ++i) {
+      const WireChunk& chunk = c->chunks[i];
+      iov[iov_count++] =
+          iovec{const_cast<char*>(chunk.data) + skip, chunk.len - skip};
+      skip = 0;
+    }
+    std::size_t sent = 0;
+    if (!SendSome(c->sock, iov.data(), iov_count, &sent).ok()) {
+      Close(c);
+      return false;
+    }
+    if (sent == 0) {
+      c->want_write = true;  // resume on the next EPOLLOUT edge
+      return false;
+    }
+    while (sent > 0) {
+      const std::size_t remaining = c->chunks[c->head].len - c->off;
+      if (sent < remaining) {
+        c->off += sent;
+        break;
+      }
+      sent -= remaining;
+      ++c->head;
+      c->off = 0;
+    }
+  }
+  // Everything is in the kernel: the burst's arena and chunks recycle.
+  c->chunks.clear();
+  c->head = 0;
+  c->arena.Reset();
+  return true;
+  // hot-path-end
+}
+
+bool NadServer::FaultFilter(Conn* c) {
+  const auto now = Clock::now();
+  if (stall_until_ > now) {
+    // A stalled daemon HOLDS the burst, then filters it afresh.
+    Hold(c, stall_until_);
+    return false;
+  }
+  // A lossy daemon DROPS it.
+  if (drop_permille_ > 0 && c->rng.Chance(drop_permille_, 1000)) {
+    c->filter = Conn::Filter::kDrop;
+    return true;
+  }
+  c->filter = Conn::Filter::kServe;
+  if (delay_max_us_ == 0) return true;
+  // A burst is one disk request: one vectored operation, delayed once.
+  const std::uint64_t delay_us = c->rng.Between(delay_min_us_, delay_max_us_);
+  if (delay_us == 0) return true;
+  Hold(c, now + std::chrono::microseconds(delay_us));
+  return false;
+}
+
+void NadServer::Hold(Conn* c, Clock::time_point until) {
+  c->hold_timer = loop_->timers().Schedule(until, [this, c] {
+    c->hold_timer = 0;
+    Pump(c);
+  });
+}
+
+void NadServer::Close(Conn* c) {
+  if (c->hold_timer != 0) loop_->timers().Cancel(c->hold_timer);
+  c->hold_timer = 0;
+  loop_->Unwatch(c->sock.fd());
+  c->sock.Close();
+  const auto it = std::find_if(
+      conns_.begin(), conns_.end(),
+      [c](const std::unique_ptr<Conn>& p) { return p.get() == c; });
+  // The current epoll batch may still name `c`: free it next iteration.
+  if (closed_.empty()) loop_->Post([this] { closed_.clear(); });
+  closed_.push_back(std::move(*it));
+  conns_.erase(it);
+}
+
 bool NadServer::ServeOpView(const MessageView& msg, FrameWriter* w) {
-  const auto serve_start = std::chrono::steady_clock::now();
+  const auto serve_start = Clock::now();
   // hot-path-begin(server-op)
   if (store_.IsCrashed(msg.reg)) {
     // Unresponsive failure mode: swallow the request. The client can
@@ -142,50 +396,43 @@ bool NadServer::ServeOpView(const MessageView& msg, FrameWriter* w) {
   }
   MsgType resp = MsgType::kReadResp;
   std::string_view value;  // ReadResp only
-  if (msg.type == MsgType::kWriteReq || msg.type == MsgType::kMergeReq) {
-    // Write-ahead: a write is journaled before it is acknowledged, so a
-    // restart never forgets an acknowledged write. Journal order and
-    // apply order agree per register (both under the stripe lock). The
-    // value (or merge delta) is a view into the receive buffer the whole
-    // way down. A merge journals the POST-merge cell, so replay is a
-    // plain Apply.
-    const auto write_ahead = [&](std::string_view v) {
-      // Stripe lock is held here; journal_mu_ nests inside it (the
-      // documented stripe -> journal order, same as Checkpoint).
-      MutexLock jlock(journal_mu_);
-      if (!journal_.IsOpen()) return true;
+  if (msg.type == MsgType::kReadReq) {
+    // Copy the value out of the store into the response arena — the one
+    // read-path copy; the response frame references the arena bytes.
+    const Value& v = store_.Get(msg.reg);
+    hotpath::CountCopy(v.size());
+    value = std::string_view(w->arena()->Copy(v.data(), v.size()), v.size());
+    reads_served_->Inc();
+    read_serve_us_->ObserveSince(serve_start);
+  } else {
+    // Write-ahead: a write is journaled before it is applied and
+    // acknowledged, so a restart never forgets an acknowledged write.
+    // The value (or merge delta) is a view into the receive buffer the
+    // whole way down. A merge journals the POST-merge cell, so replay is
+    // a plain Apply.
+    const bool write = msg.type == MsgType::kWriteReq;
+    Value merged;
+    if (!write) merged = MergeCodedCell(store_.Get(msg.reg), msg.value);
+    const std::string_view v = write ? msg.value : std::string_view(merged);
+    if (journal_.IsOpen()) {
       if (Status s = journal_.Append(msg.reg, v); !s.ok()) {
         LOG_ERROR << "nad-server: journal append failed: " << s.ToString()
                   << "; dropping request";
-        return false;
+        return false;  // unresponsive, like a failing disk
       }
-      return true;
-    };
-    const bool write = msg.type == MsgType::kWriteReq;
-    const bool applied =
-        write ? store_.ApplyOrderedView(msg.reg, msg.value, write_ahead)
-              : store_.MergeOrderedView(msg.reg, msg.value, write_ahead);
-    if (!applied) return false;  // unresponsive, like a failing disk
+    }
     if (write) {
-      // The store assigned the value into the register's existing string
-      // capacity: the one write-path copy.
-      hotpath::CountCopy(msg.value.size());
+      // Assigned into the register's existing string capacity: the one
+      // write-path copy.
+      store_.Assign(msg.reg, v);
+      hotpath::CountCopy(v.size());
       writes_served_->Inc();
     } else {
+      store_.Apply(msg.reg, std::move(merged));
       merges_served_->Inc();
     }
     write_serve_us_->ObserveSince(serve_start);
     resp = write ? MsgType::kWriteResp : MsgType::kMergeResp;
-  } else {
-    // Copy the value out of the store into the response arena under the
-    // stripe lock (linearization) — the one read-path copy; the response
-    // frame references the arena bytes, never a fresh Value.
-    store_.View(msg.reg, [&](const Value& v) {
-      hotpath::CountCopy(v.size());
-      value = std::string_view(w->arena()->Copy(v.data(), v.size()), v.size());
-    });
-    reads_served_->Inc();
-    read_serve_us_->ObserveSince(serve_start);
   }
   w->BeginFrame();
   AppendPayload(*w, resp, msg.request_id, msg.reg, value);
@@ -205,115 +452,6 @@ void NadServer::AppendStats(std::uint64_t request_id, FrameWriter* w) {
   w->BeginFrame();
   AppendPayload(*w, MsgType::kStatsResp, request_id, {}, copy);
   w->EndFrame();
-}
-
-bool NadServer::FaultFilter(Rng& rng, bool* drop) {
-  // A stalled daemon HOLDS the burst until the stall elapses.
-  {
-    mu_.Lock();
-    while (!stopping_ && stall_until_ > std::chrono::steady_clock::now()) {
-      const auto until = stall_until_;
-      fault_cv_.WaitUntil(mu_, until, [&] {
-        mu_.AssertHeld();  // CondVar waits run predicates under the lock
-        return stopping_ || stall_until_ < until;  // Heal cleared it
-      });
-    }
-    const bool stop_now = stopping_;
-    mu_.Unlock();
-    if (stop_now) return false;
-  }
-  // A lossy daemon DROPS it.
-  const auto drop_permille = drop_permille_.load(std::memory_order_relaxed);
-  *drop = drop_permille > 0 && rng.Chance(drop_permille, 1000);
-  if (*drop) return true;
-  std::uint64_t min_delay = opts_.min_delay_us;
-  std::uint64_t max_delay = opts_.max_delay_us;
-  if (const auto omax = delay_max_override_.load(std::memory_order_relaxed);
-      omax != kNoDelayOverride) {
-    min_delay = delay_min_override_.load(std::memory_order_relaxed);
-    max_delay = omax;
-  }
-  if (max_delay > 0) {
-    // A burst is one disk request: one vectored operation.
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(rng.Between(min_delay, max_delay)));
-  }
-  return true;
-}
-
-void NadServer::Serve(Socket conn, Rng rng) {
-  {
-    MutexLock lock(mu_);
-    if (stopping_) return;
-    live_conns_.push_back(&conn);
-  }
-  // Per-connection serve state (DESIGN.md §14): frames are read through
-  // `reader` (one recv can deliver many frames), decoded into views over
-  // its buffer, and answered as WireChunks — headers and read values in
-  // `arena`. A burst is the frame recv blocked for plus every complete
-  // frame already buffered behind it; its responses leave with one
-  // sendmsg, and the arena and chunk list reset per burst.
-  FrameReader reader;
-  Arena arena;
-  std::vector<WireChunk> chunks;
-  std::vector<iovec> iov;
-  const auto send_chunks = [&conn, &chunks, &iov]() -> bool {
-    if (chunks.empty()) return true;
-    iov.clear();
-    for (const WireChunk& c : chunks) {
-      iov.push_back(iovec{const_cast<char*>(c.data), c.len});
-    }
-    chunks.clear();
-    return SendAllVec(conn, iov.data(), iov.size()).ok();
-  };
-  FrameWriter w(&arena, &chunks);
-  bool filtered = false;  // the fault filter has run for this burst
-  bool drop = false;      // ... and dropped it
-  std::size_t burst_ops = 0;
-  for (;;) {
-    auto payload = reader.Next(conn, kMaxFrameBytes);
-    if (!payload) break;  // closed or malformed length
-    // hot-path-begin(server-serve)
-    auto msg = DecodeMessageView(*payload);
-    if (!msg) {
-      LOG_WARN << "nad-server: dropping malformed request: "
-               << msg.status().ToString();
-    } else if (msg->type == MsgType::kStatsReq) {
-      // Out-of-band observability: no fault filter, no crash check —
-      // STATS is not a disk operation.
-      AppendStats(msg->request_id, &w);
-    } else if (msg->type != MsgType::kReadReq &&
-               msg->type != MsgType::kWriteReq &&
-               msg->type != MsgType::kMergeReq) {
-      LOG_WARN << "nad-server: dropping non-request message";
-    } else {
-      if (!filtered) {
-        // Fault filter, once per burst before its first disk op. STATS
-        // answers already queued leave first: a stall must not hold them.
-        filtered = true;
-        if (!send_chunks() || !FaultFilter(rng, &drop)) break;
-      }
-      if (drop) {
-        dropped_faulted_->Inc();
-      } else {
-        // A crashed register omits its response; its neighbours answer.
-        ServeOpView(*msg, &w);
-        ++burst_ops;
-      }
-    }
-    // The burst goes on while complete frames are already buffered, up
-    // to about a frame's worth of response bytes.
-    if (reader.HasFrame() && arena.bytes_used() < kMaxFrameBytes) continue;
-    if (burst_ops > 0) batch_size_->Observe(burst_ops);
-    // A burst whose every op was swallowed stays silent.
-    if (!send_chunks()) break;
-    arena.Reset();
-    filtered = drop = false;
-    burst_ops = 0;
-    // hot-path-end
-  }
-  MutexLock lock(mu_);
-  std::erase(live_conns_, &conn);
 }
 
 }  // namespace nadreg::nad

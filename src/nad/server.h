@@ -8,54 +8,64 @@
 /// register or disk silently stops answering (unresponsive mode) — the
 /// request is swallowed, never errored.
 ///
+/// One disk, one loop: the daemon is one EventLoop thread. The listener
+/// and every connection are IoWatchers on it, and the loop owns all
+/// daemon state — the RegisterStore, the journal, the fault state, every
+/// connection buffer — so none of it is locked. A write is journaled and
+/// then applied inline, which makes write-ahead order hold trivially.
+///
 /// Bursts: every frame carries one operation (protocol.h), and batching
-/// is a syscall property. The serve loop blocks for one frame, then takes
-/// every complete frame already buffered behind it (FrameReader::
-/// HasFrame) — a *burst* — and answers them in FIFO order with one
-/// sendmsg. A crashed register's response is simply omitted from the
-/// burst while its neighbours answer; a burst whose every op is swallowed
-/// sends nothing. "nad.server.batch_size" counts the ops of each burst.
+/// is a syscall property. A readable connection is drained into its
+/// RxBuffer with RecvSome; every complete buffered frame is then served
+/// as one *burst*, answered in FIFO order with one SendSome. A short read
+/// ends the drain without a trailing EAGAIN recv. A crashed register's
+/// response is simply omitted from the burst while its neighbours answer;
+/// a burst whose every op is swallowed sends nothing.
+/// "nad.server.batch_size" counts the ops of each burst. A send the
+/// kernel takes only in part parks that connection until EPOLLOUT; the
+/// loop keeps serving the others meanwhile.
 ///
 /// Fault injection: the daemon is a faults::FaultSink, so a FaultInjector
-/// can drive it like a simulated farm. The crash faults delegate to the
-/// store (permanent, the paper's model); the transport faults are a
-/// *fault filter* applied once per burst before its first disk op — a
-/// stalled daemon holds the burst until the stall elapses, a lossy daemon
-/// drops each burst with the configured probability, DisconnectDisk severs all
+/// can drive it like a simulated farm. The crash faults mark the store
+/// (permanent, the paper's model); the transport faults are a *fault
+/// filter* applied once per burst before its first disk op — a stalled
+/// daemon parks the burst on a wheel timer until the stall elapses, a
+/// lossy daemon drops each burst with the configured probability, a
+/// delay parks the burst for the service delay, DisconnectDisk closes all
 /// established connections (the daemon keeps listening, so reconnecting
-/// clients recover), and Heal clears every recoverable fault. One daemon
-/// is one fault domain: the DiskId arguments of the transport faults are
-/// ignored. STATS is exempt from the filter: it is observability, not a
-/// disk operation.
+/// clients recover), and Heal clears every recoverable fault and resumes
+/// the parked bursts. The loop never sleeps. Delays round up to the
+/// wheel's 1 ms tick, so a sub-millisecond delay lasts about 1 ms. One
+/// daemon is one fault domain: the DiskId arguments of the transport
+/// faults are ignored. STATS is exempt from the filter: it is
+/// observability, not a disk operation.
 ///
-/// Concurrency: register state lives in a sim::ShardedRegisterStore with
-/// striped per-register locking, so connections serving distinct registers
-/// never contend on a global lock. Lock order (DESIGN.md §12): stripe
-/// locks before journal_mu_; mu_ (connection bookkeeping, stall state)
-/// nests with neither.
+/// Cross-thread calls: the FaultSink methods and Checkpoint() run on the
+/// loop through EventLoop::RunAndWait, so each has taken effect when it
+/// returns; after Stop() they do nothing (Checkpoint reports
+/// kUnavailable). ServedCount() and metrics() are lock-free.
 ///
-/// Memory discipline (DESIGN.md §14): the serve loop is zero-copy end to
-/// end. Frames are read through a FrameReader (one buffer per connection,
-/// many frames per recv), decoded into MessageViews over that buffer, and
-/// answered through a FrameWriter into a per-connection arena gathered out
-/// with one sendmsg — write values are journaled and applied straight from
-/// the receive buffer; a read's value is copied exactly once, out of the
-/// store into the response arena under the stripe lock. The arena and the
-/// chunk list reset per burst; a burst ends early once its responses
+/// Memory discipline (DESIGN.md §14): the serve path is zero-copy end to
+/// end. Frames are decoded into MessageViews over the connection's
+/// RxBuffer and answered through a FrameWriter into a per-connection
+/// arena gathered out with one sendmsg — write values are journaled and
+/// applied straight from the receive buffer; a read's value is copied
+/// exactly once, out of the store into the response arena. The arena and
+/// the chunk list reset per burst; a burst ends early once its responses
 /// reach about kMaxFrameBytes, which bounds the arena.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/sync.h"
 #include "common/types.h"
 #include "faults/fault_sink.h"
+#include "nad/event_loop.h"
 #include "nad/persistence.h"
 #include "nad/protocol.h"
 #include "nad/socket.h"
@@ -64,7 +74,7 @@
 
 namespace nadreg::nad {
 
-class NadServer : public faults::FaultSink {
+class NadServer : public faults::FaultSink, private EventLoop::IoWatcher {
  public:
   struct Options {
     std::uint16_t port = 0;  // 0: ephemeral, see port()
@@ -99,11 +109,12 @@ class NadServer : public faults::FaultSink {
   void DelayDisk(DiskId d, std::uint64_t min_us, std::uint64_t max_us) override;
   /// Drops each incoming burst with probability permille/1000.
   void DropRequests(DiskId d, std::uint32_t permille) override;
-  /// Severs every established connection; keeps listening (recoverable).
+  /// Closes every established connection; keeps listening (recoverable).
   void DisconnectDisk(DiskId d) override;
   /// Holds every request until `dur` from now elapses, then serves them.
   void StallDisk(DiskId d, std::chrono::milliseconds dur) override;
-  /// Clears delay override, drop rate, and stall (crashes persist).
+  /// Clears delay override, drop rate, and stall (crashes persist), and
+  /// resumes every burst a stall or delay holds.
   void Heal(DiskId d) override;
 
   /// Requests served (responses actually sent), one per op.
@@ -118,96 +129,85 @@ class NadServer : public faults::FaultSink {
   std::size_t RecoveredCount() const { return recovered_; }
 
   /// Compacts durable state: snapshot, then truncate the journal.
-  /// No-op (Ok) for a volatile server.
+  /// No-op (Ok) for a volatile server; kUnavailable once stopped.
   Status Checkpoint();
 
-  /// Stops accepting and closes all connections (also done by the dtor).
+  /// Stops the loop and closes the listener and all connections (also
+  /// done by the dtor). Idempotent.
   void Stop();
 
  private:
+  struct Conn;
+  /// What a burst ended on (see ServeBurst).
+  enum class BurstEnd : std::uint8_t { kDrained, kFull, kHeld, kBadFrame };
+
   explicit NadServer(Options opts);
 
-  void AcceptLoop();
-  void Serve(Socket conn, Rng rng);
-  /// Serves one read/write/merge against the sharded store, appending its
+  // All of these run on the loop thread.
+  /// The listener is readable: accepts every pending connection.
+  void OnIoReady(std::uint32_t events) override;
+  void OnConnReady(Conn* c, std::uint32_t events);
+  /// Reads, serves and answers until the socket would block or `c` parks.
+  void Pump(Conn* c);
+  /// Reads what the socket has into c->rx. False when `c` was closed.
+  bool Fill(Conn* c, bool* drained);
+  /// Serves the complete frames buffered in c->rx as one burst.
+  BurstEnd ServeBurst(Conn* c);
+  /// Sends c's queued responses. True once all of them are in the kernel;
+  /// false when `c` parked on EPOLLOUT or was closed.
+  bool Flush(Conn* c);
+  /// The transport fault filter, run once per burst before its first disk
+  /// op. False when the burst is held: `c` is parked on a wheel timer.
+  bool FaultFilter(Conn* c);
+  /// Parks `c` until `until`, or until Heal resumes it.
+  void Hold(Conn* c, std::chrono::steady_clock::time_point until);
+  /// Unwatches and closes `c`; frees it once this loop iteration is over.
+  void Close(Conn* c);
+  /// Serves one read/write/merge against the store, appending its
   /// response frame to `w`. Returns false when the request is swallowed
   /// (crashed register or journal failure) — nothing appended.
   bool ServeOpView(const MessageView& msg, FrameWriter* w);
   /// Appends a STATS response frame (the metrics dump) to `w`.
   void AppendStats(std::uint64_t request_id, FrameWriter* w);
-  /// The transport fault filter, run once per burst: holds while stalled,
-  /// sets `*drop` on a lossy roll, sleeps the service delay otherwise.
-  /// Returns false when the server is stopping.
-  bool FaultFilter(Rng& rng, bool* drop);
 
-  // All three are written in Start() before any server thread exists and
-  // are read-only afterwards (Listener::Shutdown on a live fd is the one
-  // documented cross-thread call and is fd-level safe).
-  // lint-allow(tsa-coverage): set before threads start
-  Options opts_;
-  // lint-allow(tsa-coverage): set before threads start
+  const Options opts_;
   std::uint16_t port_ = 0;
-  // lint-allow(tsa-coverage): set before threads start
-  std::unique_ptr<Listener> listener_;
-
-  // Hot path: striped locking inside the store; everything else atomic.
-  // lint-allow(tsa-coverage): internally striped (§12 rank 3)
-  sim::ShardedRegisterStore store_;
-  std::atomic<std::uint64_t> served_{0};
-  // lint-allow(tsa-coverage): written once in Start, then read-only
   std::size_t recovered_ = 0;
+  std::atomic<bool> stopped_{false};
+  std::atomic<std::uint64_t> served_{0};
 
-  // Fault filter state (see the file comment). The delay override and
-  // drop rate are read per burst, so they are lock-free atomics;
-  // kNoDelayOverride means "use Options' range".
-  static constexpr std::uint64_t kNoDelayOverride = ~0ULL;
-  std::atomic<std::uint64_t> delay_min_override_{kNoDelayOverride};
-  std::atomic<std::uint64_t> delay_max_override_{kNoDelayOverride};
-  std::atomic<std::uint32_t> drop_permille_{0};
-
-  // Cold path: connection bookkeeping and the write-ahead journal.
-  mutable Mutex mu_;
-  // Requests are held (not dropped) while now < stall_until_; served
-  // threads wait on fault_cv_, which Stop() interrupts.
-  CondVar fault_cv_;
-  std::chrono::steady_clock::time_point stall_until_ GUARDED_BY(mu_){};
-  // Journal file I/O order; taken after a stripe lock (write path) or
-  // after the full-store quiesce (checkpoint path) — never before either.
-  Mutex journal_mu_;
-  Journal journal_ GUARDED_BY(journal_mu_);
-  bool stopping_ GUARDED_BY(mu_) = false;
-  // For Stop() to shut down.
-  std::vector<Socket*> live_conns_ GUARDED_BY(mu_);
-  Rng rng_ GUARDED_BY(mu_);
+  // Loop-confined state (see the file comment).
+  std::unique_ptr<Listener> listener_;
+  sim::RegisterStore store_;
+  Journal journal_;
+  Rng rng_;
+  std::vector<std::unique_ptr<Conn>> conns_;
+  /// Closed this iteration; the epoll batch may still name them.
+  std::vector<std::unique_ptr<Conn>> closed_;
+  // Fault filter state: the service-delay range (Options' until
+  // DelayDisk replaces it, again after Heal), the drop rate, and the
+  // stall deadline that holds bursts while now < stall_until_.
+  std::uint64_t delay_min_us_;
+  std::uint64_t delay_max_us_;
+  std::uint32_t drop_permille_ = 0;
+  std::chrono::steady_clock::time_point stall_until_{};
 
   // Per-instance observability (see metrics()). The Registry locks
-  // itself (§12 rank 5); the pointers are hot-path handles resolved once
-  // in the constructor and read-only afterwards.
-  // lint-allow(tsa-coverage): internally locked (§12 rank 5)
+  // itself (§12 rank 3); the pointers are hot-path handles resolved once
+  // in the constructor.
   obs::Registry metrics_;
-  // lint-allow(tsa-coverage): resolved once in the ctor
   obs::Counter* reads_served_;
-  // lint-allow(tsa-coverage): resolved once in the ctor
   obs::Counter* writes_served_;
-  // lint-allow(tsa-coverage): resolved once in the ctor
   obs::Counter* merges_served_;
-  // lint-allow(tsa-coverage): resolved once in the ctor
   obs::Counter* dropped_crashed_;
-  // lint-allow(tsa-coverage): resolved once in the ctor
   obs::Counter* dropped_faulted_;
-  // lint-allow(tsa-coverage): resolved once in the ctor
   obs::Histogram* read_serve_us_;
-  // lint-allow(tsa-coverage): resolved once in the ctor
   obs::Histogram* write_serve_us_;
-  // lint-allow(tsa-coverage): resolved once in the ctor
   obs::Histogram* batch_size_;
 
-  // Grown only by the accept thread; cleared (joined) by Stop() after the
-  // accept thread itself is joined, so access is lifecycle-serialized.
-  // lint-allow(tsa-coverage): accept-thread confined
-  std::vector<std::jthread> conn_threads_;
-  // lint-allow(tsa-coverage): set in Start, joined in Stop/dtor
-  std::jthread accept_thread_;
+  /// Last member: destroyed (stopped and joined) before the state the
+  /// loop thread touches.
+  std::unique_ptr<EventLoop> loop_;
 };
 
 }  // namespace nadreg::nad

@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -20,10 +19,6 @@ void Socket::Close() {
     ::close(fd_);
     fd_ = -1;
   }
-}
-
-void Socket::Shutdown() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 Expected<Listener> Listener::Bind(std::uint16_t port, const std::string& host) {
@@ -236,77 +231,6 @@ void RxBuffer::EnsureTail(std::size_t n) {
   }
   head_ = 0;
   tail_ = live;
-}
-
-Expected<std::string_view> FrameReader::Next(const Socket& sock,
-                                             std::uint32_t max_bytes) {
-  buf_.Consume(consumed_next_);  // the frame returned last call
-  consumed_next_ = 0;
-  for (;;) {
-    if (buf_.Size() >= 4) {
-      std::uint32_t len = 0;
-      std::memcpy(&len, buf_.Head(), 4);
-      if (len > max_bytes) {
-        return Status::Invalid("frame exceeds maximum size");
-      }
-      if (buf_.Size() >= 4 + static_cast<std::size_t>(len)) {
-        consumed_next_ = 4 + static_cast<std::size_t>(len);
-        return std::string_view(buf_.Head() + 4, len);
-      }
-      // Everything up to the full frame must fit contiguously.
-      buf_.EnsureTail(4 + static_cast<std::size_t>(len) - buf_.Size());
-    } else {
-      buf_.EnsureTail(64 * 1024);
-    }
-    // Blocking fill: take whatever the socket has (≥ 1 byte).
-    std::size_t got = 0;
-    for (;;) {
-      const ssize_t r = ::recv(sock.fd(), buf_.Tail(), buf_.TailCapacity(), 0);
-      if (r > 0) {
-        got = static_cast<std::size_t>(r);
-        break;
-      }
-      if (r == 0) return Status::Unavailable("recv: connection closed");
-      if (errno == EINTR) continue;
-      return Status::Unavailable("recv: error");
-    }
-    buf_.Commit(got);
-  }
-}
-
-bool FrameReader::HasFrame() const {
-  const std::size_t buffered = buf_.Size() - consumed_next_;
-  if (buffered < 4) return false;
-  std::uint32_t len = 0;
-  std::memcpy(&len, buf_.Head() + consumed_next_, 4);
-  return buffered - 4 >= len;
-}
-
-Status SendAllVec(const Socket& sock, iovec* iov, std::size_t iov_count) {
-  std::size_t first = 0;
-  while (first < iov_count) {
-    msghdr msg{};
-    msg.msg_iov = iov + first;
-    // IOV_MAX-safe: a huge burst of responses simply takes several
-    // sendmsg calls.
-    msg.msg_iovlen = std::min<std::size_t>(iov_count - first, 1024);
-    const ssize_t n = ::sendmsg(sock.fd(), &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable(std::string("sendmsg: ") +
-                                 std::strerror(errno));
-    }
-    std::size_t sent = static_cast<std::size_t>(n);
-    while (first < iov_count && sent >= iov[first].iov_len) {
-      sent -= iov[first].iov_len;
-      ++first;
-    }
-    if (first < iov_count) {
-      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + sent;
-      iov[first].iov_len -= sent;
-    }
-  }
-  return Status::Ok();
 }
 
 }  // namespace nadreg::nad

@@ -36,8 +36,6 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
   void Close();
-  /// Shuts down both directions (unblocks a reader in another thread).
-  void Shutdown();
 
  private:
   int fd_ = -1;
@@ -52,10 +50,10 @@ class Listener {
                                  const std::string& host = "127.0.0.1");
 
   std::uint16_t port() const { return port_; }
-  /// Blocks until a client connects (or the listener is shut down, in
-  /// which case the status is kUnavailable).
+  const Socket& socket() const { return sock_; }
+  /// Blocks until a client connects. On a non-blocking listener (see
+  /// SetNonBlocking), kUnavailable once no connection is pending.
   Expected<Socket> Accept();
-  void Shutdown() { sock_.Shutdown(); }
 
  private:
   Listener(Socket sock, std::uint16_t port)
@@ -139,28 +137,5 @@ class RxBuffer {
   std::size_t head_ = 0;  // first unconsumed byte
   std::size_t tail_ = 0;  // one past the last received byte
 };
-
-/// Buffered blocking frame reader for the server's per-connection serve
-/// loop: one recv(2) can deliver many frames (the old RecvFrame cost two
-/// recv syscalls per frame — header, then payload — and one string
-/// allocation per frame). The returned view aliases the internal buffer
-/// and is valid until the NEXT call. kUnavailable on close/error,
-/// kInvalid on an oversized length prefix.
-class FrameReader {
- public:
-  Expected<std::string_view> Next(const Socket& sock, std::uint32_t max_bytes);
-  /// True when a complete frame beyond the one Next last returned is
-  /// already buffered, so the next Next call returns it without touching
-  /// the socket. Never blocks; this is how the server sizes a burst.
-  bool HasFrame() const;
-
- private:
-  RxBuffer buf_;
-  std::size_t consumed_next_ = 0;  // previous frame, dropped on next call
-};
-
-/// Blocking gather-send of the whole iovec array; kUnavailable on peer
-/// close or error. `iov` is MUTATED to track partial-send progress.
-Status SendAllVec(const Socket& sock, iovec* iov, std::size_t iov_count);
 
 }  // namespace nadreg::nad

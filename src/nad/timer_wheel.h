@@ -1,11 +1,12 @@
 /// \file
-/// Hashed timer wheel for the client event loops (DESIGN.md §12).
+/// Hashed timer wheel for the event loops of the client and the server
+/// (DESIGN.md §12).
 ///
 /// Each event loop owns one wheel and is its only caller — the wheel has
-/// no locks by design (single-writer loop ownership). It absorbs what the
-/// old per-client janitor thread and the reconnect CondVar waits did:
-/// per-connection expiry sweeps and backoff redial timers are just wheel
-/// entries fired from the loop's epoll_wait cadence.
+/// no locks by design (single-writer loop ownership). On the client,
+/// per-connection expiry sweeps and backoff redial timers are wheel
+/// entries; on the server, a burst held by an injected stall or delay is
+/// one. All fire from the loop's epoll_wait cadence.
 ///
 /// Deadlines hash into a fixed ring of tick-wide slots (classic hashed
 /// wheel: entries due in a later revolution share a slot and are skipped
@@ -14,7 +15,8 @@
 /// order across ticks and insertion order within one. Deadlines round
 /// *up* to a tick boundary, so a callback never fires before its
 /// deadline; it can fire up to one tick (default 1ms) late, which is well
-/// inside the expiry/backoff granularity the client needs.
+/// inside the expiry/backoff granularity the client needs and the fault
+/// delays the server injects.
 ///
 /// Callbacks may Schedule and Cancel freely (a same-instant reschedule
 /// lands on the next tick); they must not re-enter Advance.

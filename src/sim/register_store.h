@@ -1,25 +1,16 @@
 /// \file
 /// In-memory state of a farm of network-attached disks: lazily materialized
 /// register values plus crash bookkeeping. Shared by the randomized and
-/// deterministic simulation backends. Not thread safe by itself; backends
-/// guard it with their own lock.
-///
-/// ShardedRegisterStore adds striped per-register locking on top: the NAD
-/// daemon serves many connections concurrently, and a single global lock
-/// around every Get/Apply serializes the whole farm. Stripes make accesses
-/// to distinct registers (the common case: each emulation register lives
-/// on its own block) contend only on their stripe.
+/// deterministic simulation backends and the NAD daemon. Not thread safe
+/// by itself: the farms guard it with their own lock, and the daemon
+/// confines it to its event loop.
 #pragma once
 
-#include <array>
-#include <cassert>
 #include <cstdint>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
-#include "common/coded_cell.h"
-#include "common/sync.h"
 #include "common/types.h"
 
 namespace nadreg::sim {
@@ -72,200 +63,6 @@ class RegisterStore {
   std::unordered_map<RegisterId, Value> values_;
   std::unordered_set<RegisterId> crashed_registers_;
   std::unordered_set<DiskId> crashed_disks_;
-};
-
-/// Thread-safe register store with striped per-register locking.
-///
-/// Values and per-register crash state shard across kStripes independent
-/// RegisterStores, each behind its own mutex; whole-disk crash state is a
-/// small separate set (checked lock-free-cheap on every access, mutated
-/// only by fault injection).
-///
-/// LOCK ORDER (machine-checked where the analysis can see it, asserted in
-/// QuiesceGuard where it cannot): stripe locks are only ever taken in
-/// ascending stripe-index order — single-register operations take exactly
-/// one, the checkpoint quiesce takes all of them ascending — and any
-/// caller-owned lock (the server's journal mutex, inside ApplyOrdered's
-/// write_ahead callback and after QuiesceGuard) nests strictly inside /
-/// after the stripes. A write apply (stripe i) can therefore never
-/// deadlock against a checkpoint quiesce (stripes 0..k ascending): both
-/// sides acquire stripes in the same global order.
-class ShardedRegisterStore {
- public:
-  static constexpr std::size_t kStripes = 16;
-
-  /// RAII quiesce: holds every stripe lock, acquired in ascending stripe
-  /// order (asserted), released in descending order. While alive, no
-  /// write or apply can run anywhere in the store — the checkpoint path
-  /// constructs one of these FIRST, then takes the journal mutex,
-  /// matching the writer's stripe→journal order. The loop over stripes is
-  /// beyond the static analysis, hence the NO_THREAD_SAFETY_ANALYSIS
-  /// escape with this comment as the proof obligation.
-  class QuiesceGuard {
-   public:
-    explicit QuiesceGuard(const ShardedRegisterStore& store)
-        NO_THREAD_SAFETY_ANALYSIS : store_(store) {
-      const Mutex* prev = nullptr;
-      for (const Stripe& s : store_.stripes_) {
-        // Ascending-order invariant: array iteration is address-ascending;
-        // the assert turns the documented order into an executable check.
-        assert(prev == nullptr || prev < &s.mu);
-        s.mu.Lock();
-        prev = &s.mu;
-      }
-    }
-    ~QuiesceGuard() NO_THREAD_SAFETY_ANALYSIS {
-      for (auto it = store_.stripes_.rbegin(); it != store_.stripes_.rend();
-           ++it) {
-        it->mu.Unlock();
-      }
-    }
-    QuiesceGuard(const QuiesceGuard&) = delete;
-    QuiesceGuard& operator=(const QuiesceGuard&) = delete;
-
-    /// Merged copy of all materialized values — consistent across
-    /// registers precisely because this guard is alive.
-    RegisterStore Snapshot() const NO_THREAD_SAFETY_ANALYSIS {
-      RegisterStore out;
-      for (const Stripe& s : store_.stripes_) {
-        for (const auto& [reg, value] : s.store.Values()) {
-          out.Apply(reg, value);
-        }
-      }
-      return out;
-    }
-
-   private:
-    const ShardedRegisterStore& store_;
-  };
-
-  /// Current value of a register (copied out under the stripe lock).
-  Value Get(const RegisterId& r) const {
-    const Stripe& s = StripeFor(r);
-    MutexLock lock(s.mu);
-    return s.store.Get(r);
-  }
-
-  /// Runs `f(const Value&)` under the register's stripe lock — the
-  /// zero-allocation read path: the caller copies the bytes wherever it
-  /// needs them (e.g. a response arena) instead of receiving a fresh
-  /// Value. `f` must not call back into the store (stripe lock held).
-  template <typename F>
-  void View(const RegisterId& r, F&& f) const {
-    const Stripe& s = StripeFor(r);
-    MutexLock lock(s.mu);
-    f(s.store.Get(r));
-  }
-
-  /// Applies a write (the register's linearization point).
-  void Apply(const RegisterId& r, Value v) {
-    Stripe& s = StripeFor(r);
-    MutexLock lock(s.mu);
-    s.store.Apply(r, std::move(v));
-  }
-
-  /// Write-ahead variant: runs `write_ahead(value)` (e.g. a journal
-  /// append) and then applies, both under the register's stripe lock, so
-  /// per-register journal order always matches per-register apply order.
-  /// The write is dropped when `write_ahead` returns false.
-  template <typename Fn>
-  bool ApplyOrdered(const RegisterId& r, Value v, Fn&& write_ahead) {
-    Stripe& s = StripeFor(r);
-    MutexLock lock(s.mu);
-    if (!write_ahead(static_cast<const Value&>(v))) return false;
-    s.store.Apply(r, std::move(v));
-    return true;
-  }
-
-  /// ApplyOrdered from borrowed bytes (the zero-copy decode path): same
-  /// ordering contract, but the value arrives as a view into the
-  /// caller's receive buffer and is applied via RegisterStore::Assign,
-  /// reusing the register's string capacity. `write_ahead` receives the
-  /// same view.
-  template <typename Fn>
-  bool ApplyOrderedView(const RegisterId& r, std::string_view v,
-                        Fn&& write_ahead) {
-    Stripe& s = StripeFor(r);
-    MutexLock lock(s.mu);
-    if (!write_ahead(v)) return false;
-    s.store.Assign(r, v);
-    return true;
-  }
-
-  /// Coded-cell merge with the same write-ahead ordering contract as
-  /// ApplyOrderedView: computes MergeCodedCell(current, delta) under the
-  /// register's stripe lock, journals the *post-merge* cell (so replay is
-  /// a plain Apply, independent of journal truncation points), then
-  /// applies it. The delta arrives as a view into the caller's receive
-  /// buffer; the merge is dropped when `write_ahead` returns false.
-  template <typename Fn>
-  bool MergeOrderedView(const RegisterId& r, std::string_view delta,
-                        Fn&& write_ahead) {
-    Stripe& s = StripeFor(r);
-    MutexLock lock(s.mu);
-    Value merged = MergeCodedCell(s.store.Get(r), delta);
-    if (!write_ahead(std::string_view(merged))) return false;
-    s.store.Apply(r, std::move(merged));
-    return true;
-  }
-
-  void CrashRegister(const RegisterId& r) {
-    Stripe& s = StripeFor(r);
-    MutexLock lock(s.mu);
-    s.store.CrashRegister(r);
-  }
-
-  void CrashDisk(DiskId d) {
-    MutexLock lock(disk_mu_);
-    crashed_disks_.insert(d);
-  }
-
-  bool IsCrashed(const RegisterId& r) const {
-    {
-      MutexLock lock(disk_mu_);
-      if (crashed_disks_.contains(r.disk)) return true;
-    }
-    const Stripe& s = StripeFor(r);
-    MutexLock lock(s.mu);
-    return s.store.IsCrashed(r);
-  }
-
-  std::size_t MaterializedCount() const {
-    std::size_t n = 0;
-    for (const Stripe& s : stripes_) {
-      MutexLock lock(s.mu);
-      n += s.store.MaterializedCount();
-    }
-    return n;
-  }
-
-  /// Bulk-loads recovered state (start-up, before any concurrent access).
-  void Load(const RegisterStore& from) {
-    for (const auto& [reg, value] : from.Values()) Apply(reg, value);
-  }
-
-  /// Acquires every stripe lock (ascending order, see QuiesceGuard).
-  [[nodiscard]] QuiesceGuard LockAll() const { return QuiesceGuard(*this); }
-
- private:
-  struct Stripe {
-    mutable Mutex mu;
-    RegisterStore store GUARDED_BY(mu);
-  };
-
-  Stripe& StripeFor(const RegisterId& r) {
-    return stripes_[std::hash<RegisterId>{}(r) % kStripes];
-  }
-  const Stripe& StripeFor(const RegisterId& r) const {
-    return stripes_[std::hash<RegisterId>{}(r) % kStripes];
-  }
-
-  // The array itself is never resized or reseated; each element guards
-  // its own contents via Stripe::mu (§12 rank 3).
-  // lint-allow(tsa-coverage): elements self-guarded
-  std::array<Stripe, kStripes> stripes_;
-  mutable Mutex disk_mu_;
-  std::unordered_set<DiskId> crashed_disks_ GUARDED_BY(disk_mu_);
 };
 
 }  // namespace nadreg::sim

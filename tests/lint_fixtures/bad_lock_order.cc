@@ -1,47 +1,51 @@
-// lint-path: src/nad/bad_lock_order.cc
+// lint-path: src/sim/bad_lock_order.cc
 // Known-bad fixture: nested scoped MutexLock acquisitions that invert
 // the DESIGN.md §12 hierarchy (machine-readable form:
-// scripts/nadlint/lock_order.json). The hierarchy orders NadServer's
-// mu_ (rank 2) before a store Stripe's mu (rank 3) before journal_mu_
-// (rank 4); acquiring a lock of equal or earlier rank while holding a
-// later one is the deadlock shape TSA cannot see (and GCC builds
-// compile the annotations away entirely). Never compiled; the linter
-// self-test asserts every lint-expect line below is flagged.
+// scripts/nadlint/lock_order.json). The hierarchy orders an EventLoop's
+// inbox_mu_ (rank 1) before a farm's mu_ (rank 2) before the metrics
+// Registry's mu_ (rank 3); acquiring a lock of equal or earlier rank
+// while holding a later one is the deadlock shape TSA cannot see (and
+// GCC builds compile the annotations away entirely). Never compiled; the
+// linter self-test asserts every lint-expect line below is flagged.
 #include "common/sync.h"
 
-namespace nadreg::nad {
+namespace nadreg::sim {
 
-struct Stripe {
-  Mutex mu;
+class EventLoop {
+ public:
+  Mutex inbox_mu_;
 };
 
-class NadServer {
+class Registry {
  public:
-  // Inversion: journal (rank 4) held while taking connection state
-  // (rank 2).
-  void BadCheckpoint() {
-    MutexLock journal(journal_mu_);
-    MutexLock conns(mu_);  // lint-expect(lock-order)
+  Mutex mu_;
+};
+
+class SimFarm {
+ public:
+  // Inversion: the metrics registry (rank 3) held while taking the farm
+  // lock (rank 2).
+  void BadMetricsFirst(Registry& metrics) {
+    MutexLock names(metrics.mu_);
+    MutexLock farm(mu_);  // lint-expect(lock-order)
   }
 
-  // Inversion: journal (rank 4) held while locking a stripe (rank 3);
-  // the write path takes them in the opposite (legal) order.
-  void BadJournalFirst(Stripe& s) {
-    MutexLock journal(journal_mu_);
-    MutexLock stripe(s.mu);  // lint-expect(lock-order)
+  // Inversion: the farm lock (rank 2) held while pushing into a loop's
+  // inbox (rank 1); a loop task that takes the farm lock deadlocks it.
+  void BadPostUnderFarmLock(EventLoop& loop) {
+    MutexLock farm(mu_);
+    MutexLock inbox(loop.inbox_mu_);  // lint-expect(lock-order)
   }
 
-  // Same-rank nesting: two stripes under scoped guards. Only
-  // QuiesceGuard may hold multiple stripes (explicit Lock() in
-  // ascending index order, runtime-asserted).
-  void BadTwoStripes(Stripe& a, Stripe& b) {
-    MutexLock first(a.mu);
-    MutexLock second(b.mu);  // lint-expect(lock-order)
+  // Same-rank nesting: two farms' locks under scoped guards; two
+  // threads nesting them in opposite orders deadlock.
+  void BadTwoFarms(SimFarm& other) {
+    MutexLock mine(mu_);
+    MutexLock theirs(other.mu_);  // lint-expect(lock-order)
   }
 
  private:
   Mutex mu_;
-  Mutex journal_mu_;
 };
 
-}  // namespace nadreg::nad
+}  // namespace nadreg::sim

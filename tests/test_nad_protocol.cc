@@ -2,13 +2,11 @@
 // types, runs of per-op frames (what one writev or one server burst
 // carries), rejection of malformed payloads and of the retired batch
 // type codes, fuzz totality — and the zero-copy surface (FrameWriter /
-// DecodeMessageView / FrameReader) checked byte-for-byte against the
+// DecodeMessageView) checked byte-for-byte against the
 // materializing EncodeMessage/DecodeMessage golden pair.
 #include "nad/protocol.h"
 
 #include <gtest/gtest.h>
-
-#include <sys/socket.h>
 
 #include <cstring>
 #include <utility>
@@ -706,39 +704,6 @@ TEST(Protocol, EncodedMessageSizeMatchesEncodeMessage) {
     EXPECT_EQ(EncodedMessageSize(m), EncodeMessage(m).size())
         << "type " << static_cast<int>(m.type);
   }
-}
-
-TEST(FrameReader, HasFrameOnlyForCompleteBufferedFrames) {
-  // The server sizes a burst with HasFrame: a run of frames delivered in
-  // pieces must report a next frame exactly when one is fully buffered,
-  // and Next must then return it without blocking.
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  Socket reader_end(fds[0]);
-  Socket writer_end(fds[1]);
-  const std::string f1 = FramePrefix(EncodeMessage(MakeRead(1, 0, 0)));
-  const std::string f2 = FramePrefix(EncodeMessage(MakeWrite(2, 0, 1, "v")));
-  // The first frame and half of the second arrive together.
-  const std::size_t half = f2.size() / 2;
-  ASSERT_TRUE(SendAll(writer_end, f1 + f2.substr(0, half)).ok());
-  FrameReader reader;
-  EXPECT_FALSE(reader.HasFrame());  // nothing received yet
-  auto p1 = reader.Next(reader_end, kMaxFrameBytes);
-  ASSERT_TRUE(p1.ok());
-  EXPECT_EQ(*DecodeMessage(*p1), MakeRead(1, 0, 0));
-  EXPECT_FALSE(reader.HasFrame()) << "a torn frame counted as buffered";
-  ASSERT_TRUE(SendAll(writer_end, f2.substr(half)).ok());
-  auto p2 = reader.Next(reader_end, kMaxFrameBytes);  // blocks for the rest
-  ASSERT_TRUE(p2.ok());
-  EXPECT_EQ(*DecodeMessage(*p2), MakeWrite(2, 0, 1, "v"));
-  EXPECT_FALSE(reader.HasFrame());
-  // Two whole frames in one write: after the first, the second is
-  // already buffered.
-  ASSERT_TRUE(SendAll(writer_end, f1 + f2).ok());
-  ASSERT_TRUE(reader.Next(reader_end, kMaxFrameBytes).ok());
-  EXPECT_TRUE(reader.HasFrame());
-  ASSERT_TRUE(reader.Next(reader_end, kMaxFrameBytes).ok());
-  EXPECT_FALSE(reader.HasFrame());
 }
 
 }  // namespace
