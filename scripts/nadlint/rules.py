@@ -55,12 +55,13 @@ STRICT_NO_SLEEP = {"src/sim/explorer.cc"}
 def in_no_sleep_scope(p: str) -> bool:
     # The retry/backoff path may never raw-sleep: a sleeping thread
     # cannot be interrupted by shutdown, while a CondVar deadline wait
-    # can; an event loop (the client's and the server's) sleeps only
-    # inside epoll_wait.
+    # can; an event loop (the client's and the server's, and the
+    # connection core both run in protocol.*) sleeps only inside
+    # epoll_wait.
     return (
         p.startswith(("src/sim/", "src/core/", "src/faults/"))
         or re.fullmatch(
-            r"src/nad/(?:retry|client|event_loop|timer_wheel|server)"
+            r"src/nad/(?:retry|client|event_loop|timer_wheel|server|protocol)"
             r"\.(?:h|cc|cpp|hpp)", p)
         is not None
     )

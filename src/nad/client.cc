@@ -1,21 +1,17 @@
 #include "nad/client.h"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <limits>
 #include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/hotpath_stats.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/sync.h"
 #include "nad/pending_table.h"
-#include "nad/socket.h"
 #include "obs/trace.h"
 
 namespace nadreg::nad {
@@ -31,19 +27,6 @@ std::int64_t ToUs(Clock::time_point t) {
              t.time_since_epoch())
       .count();
 }
-
-/// Most iovec slots one FlushWire gather pass hands the kernel. Chunks
-/// are finer-grained than the old whole-frame units (headers and values
-/// are separate spans), so the cap is correspondingly larger; IOV_MAX is
-/// 1024 on Linux.
-constexpr std::size_t kMaxIov = 256;
-
-/// Sent-chunk count past which a backpressured wire queue is compacted
-/// (CompactWire): under sustained partial sends to a slow peer the sent
-/// prefix, its arena headers, and any parked zombie values would
-/// otherwise be reclaimed only when the queue fully drains — which may
-/// be never while admissions keep coming.
-constexpr std::size_t kCompactWireChunks = 64;
 
 /// One in-flight operation. Lives in the connection's PendingTable, whose
 /// slots never move — the zero-copy wire path references `value` IN PLACE
@@ -89,39 +72,20 @@ struct NadClient::Conn final : EventLoop::IoWatcher {
   /// good (reconnect disabled).
   enum class Link { kUp, kConnecting, kBackoff, kDown };
   Link link = Link::kUp;
-  Socket sock;
+  /// The socket, the response bytes, and the gather queue of request
+  /// frames: headers in its arena, write values referenced in place from
+  /// their pending-table entries (zero-copy).
+  FramedConn io;
   std::uint64_t next_request_id = 1;
-  /// EAGAIN hit mid-flush: waiting for the next EPOLLOUT edge.
-  bool want_write = false;
   /// Set while an Admit pass has queued this conn for its flush step.
   bool admit_queued = false;
 
   /// Admitted request ids not yet framed (the coalescing unit). Ids, not
   /// entry pointers: an op staged while the link is down can expire
-  /// before framing, so FrameStaged re-resolves against the table.
+  /// before framing, so SendStaged re-resolves against the table.
   std::vector<std::uint64_t> staged;
-  /// The gather queue: spans into tx_arena (frame headers) and into
-  /// pending-table write values (zero-copy). wire[wire_head] is the next
-  /// unsent chunk; wire_off bytes of it are already in the kernel.
-  std::vector<WireChunk> wire;
-  std::size_t wire_head = 0;
-  std::size_t wire_off = 0;
-  RxBuffer rx;  // unparsed inbound bytes; recv lands directly here
-
-  /// Frame headers of queued chunks; reset whenever the wire drains.
-  Arena tx_arena;
   /// All in-flight ops, one table per connection (the structural shard).
   PendingTable<PendingOp> pending;
-  /// Write values whose ops completed or expired while the wire still
-  /// holds unsent bytes that may reference them; freed when the wire
-  /// drains, is compacted, or the link breaks. Empty in steady state.
-  /// Only heap-backed values (larger than kSmallValueCopyBytes) are ever
-  /// parked: the wire never references smaller ones (PutBytesRef copies
-  /// them into the arena), and moving a heap-backed string here keeps
-  /// the buffer the chunk points at alive and at the same address.
-  std::vector<Value> zombies;
-  /// CompactWire's bounce buffer (capacity reused across compactions).
-  std::string compact_scratch;
 
   BackoffState backoff;
   CircuitBreaker breaker;
@@ -137,26 +101,18 @@ struct NadClient::Conn final : EventLoop::IoWatcher {
   /// dead for good. Written by the owning loop, read from any thread.
   std::atomic<std::int64_t> suspected_until_us{0};
 
-  Conn(NadClient* c, DiskId d, Endpoint ep, const RetryPolicy& policy)
+  Conn(NadClient* c, DiskId d, Endpoint ep, Socket sock,
+       const RetryPolicy& policy)
       : client(c),
         disk(d),
         endpoint(std::move(ep)),
+        io(std::move(sock)),
         backoff(policy),
         breaker(policy),
         rng(0x9e3779b97f4a7c15ULL ^ (static_cast<std::uint64_t>(d) << 17)) {}
 
   void OnIoReady(std::uint32_t events) override {
     client->OnIoReady(this, events);
-  }
-
-  /// Tears down the tx side: queued frames, their header arena, and the
-  /// zombie values they may reference die together.
-  void DropWire() {
-    wire.clear();
-    wire_head = 0;
-    wire_off = 0;
-    tx_arena.Reset();
-    zombies.clear();
   }
 };
 
@@ -191,9 +147,9 @@ Expected<std::unique_ptr<NadClient>> NadClient::Connect(
     auto sock = nad::Connect(ep.host, ep.port);
     if (!sock) return sock.status();
     if (Status st = SetNonBlocking(*sock); !st.ok()) return st;
-    auto conn = std::make_unique<Conn>(client.get(), disk, ep, options.retry);
-    conn->sock = std::move(*sock);
-    client->conns_.emplace(disk, std::move(conn));
+    client->conns_.emplace(
+        disk, std::make_unique<Conn>(client.get(), disk, ep, std::move(*sock),
+                                     options.retry));
   }
   std::size_t n = options.num_event_loops;
   if (n == 0) n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -439,7 +395,7 @@ Expected<std::string> NadClient::QueryStats(DiskId d,
 // ---------------------------------------------------------------------------
 
 void NadClient::RegisterConn(Conn* conn) {
-  if (Status st = conn->loop->Watch(conn->sock.fd(), conn); !st.ok()) {
+  if (Status st = conn->loop->Watch(conn->io.socket().fd(), conn); !st.ok()) {
     LOG_WARN << "nad-client: cannot watch disk " << conn->disk << ": "
              << st.ToString();
     OnLinkBroken(conn);
@@ -498,116 +454,45 @@ void NadClient::Admit(std::vector<SubmitEntry> entries) {
     // Reads/writes staged while the link is down wait in the pending
     // table; the reconnect rebuild retransmits them (STATS never gets
     // here on a broken link — it failed kUnavailable above).
-    if (c->link == Conn::Link::kUp) {
-      FrameStaged(c);
-      FlushWire(c);
-    }
+    if (c->link == Conn::Link::kUp) SendStaged(c);
   }
 }
 
-void NadClient::FrameStaged(Conn* conn) {
-  if (conn->staged.empty()) return;
-  // One per-op frame per staged op, in FIFO order, all queued for the
-  // same FlushWire: batching is the one writev, not a frame shape. Frames
-  // are built as WireChunks — headers in tx_arena, write values
-  // referenced from their pending entries — never materialized.
-  // hot-path-begin(client-framing)
-  FrameWriter w(&conn->tx_arena, &conn->wire);
-  std::size_t ops = 0;
-  for (const std::uint64_t id : conn->staged) {
-    PendingOp* p = conn->pending.Find(id);
-    if (p == nullptr) continue;  // expired while the link was down
-    if (p->req_type != MsgType::kStatsReq) ++ops;
-    w.BeginFrame();
-    AppendPayload(w, p->req_type, id, p->reg, p->value);
-    w.EndFrame();
+void NadClient::SendStaged(Conn* conn) {
+  if (!conn->staged.empty()) {
+    // One per-op frame per staged op, in FIFO order, all sent by the
+    // same Flush: batching is the one writev, not a frame shape. Frames
+    // are built as WireChunks — headers in the connection's arena, write
+    // values referenced from their pending entries — never materialized.
+    // hot-path-begin(client-framing)
+    FrameWriter w = conn->io.Writer();
+    std::size_t ops = 0;
+    for (const std::uint64_t id : conn->staged) {
+      PendingOp* p = conn->pending.Find(id);
+      if (p == nullptr) continue;  // expired while the link was down
+      if (p->req_type != MsgType::kStatsReq) ++ops;
+      w.BeginFrame();
+      AppendPayload(w, p->req_type, id, p->reg, p->value);
+      w.EndFrame();
+    }
+    if (ops > 0) batch_size_->Observe(ops);
+    conn->staged.clear();
+    // hot-path-end
   }
-  if (ops > 0) batch_size_->Observe(ops);
-  conn->staged.clear();
-  // hot-path-end
-}
-
-void NadClient::FlushWire(Conn* conn) {
-  if (conn->link != Conn::Link::kUp) return;
-  // hot-path-begin(client-flush-wire)
-  while (conn->wire_head < conn->wire.size()) {
-    // Gather up to kMaxIov chunk spans, the front chunk adjusted for the
-    // bytes a previous partial write consumed.
-    std::array<iovec, kMaxIov> iov;
-    std::size_t iov_count = 0;
-    std::size_t skip = conn->wire_off;
-    for (std::size_t i = conn->wire_head;
-         i < conn->wire.size() && iov_count < iov.size(); ++i) {
-      const WireChunk& c = conn->wire[i];
-      iov[iov_count].iov_base = const_cast<char*>(c.data) + skip;
-      iov[iov_count].iov_len = c.len - skip;
-      ++iov_count;
-      skip = 0;
-    }
-    std::size_t sent = 0;
-    if (Status st = SendSome(conn->sock, iov.data(), iov_count, &sent);
-        !st.ok()) {
-      // Dead socket: hand off to the reconnect path. The dropped frames
-      // stay stashed in the pending table and will be retransmitted.
-      OnLinkBroken(conn);
-      return;
-    }
-    if (sent == 0) {
-      // Kernel buffer full: resume on the next EPOLLOUT edge. If a lot
-      // of sent state piled up (slow peer, repeated short sends while
-      // admissions keep queueing), reclaim it now rather than waiting
-      // for a full drain that may never come.
-      conn->want_write = true;
-      if (conn->wire_head >= kCompactWireChunks) CompactWireQueue(conn);
-      return;
-    }
-    while (sent > 0) {
-      const WireChunk& front = conn->wire[conn->wire_head];
-      const std::size_t remaining = front.len - conn->wire_off;
-      if (sent >= remaining) {
-        sent -= remaining;
-        ++conn->wire_head;
-        conn->wire_off = 0;
-      } else {
-        conn->wire_off += sent;
-        sent = 0;
-      }
-    }
-  }
-  // Fully drained: every queued span is in the kernel, so nothing
-  // references the header arena or the zombie values anymore — recycle
-  // them for the next admission pass.
-  conn->DropWire();
-  conn->want_write = false;
-  // hot-path-end
-}
-
-void NadClient::CompactWireQueue(Conn* conn) {
-  // Rewrites the queue as one arena-backed chunk of the unsent bytes:
-  // the sent chunk prefix, its header arena bytes, and the zombie list
-  // all reclaim without waiting for a full drain — and afterwards no
-  // chunk references pending-table values, so the zombies (kept alive
-  // only for the wire's sake) can go too.
-  CompactWire(&conn->wire, &conn->wire_head, &conn->wire_off,
-              &conn->tx_arena, &conn->compact_scratch);
-  conn->zombies.clear();
+  // A dead socket hands off to the reconnect path: the dropped frames
+  // stay stashed in the pending table and will be retransmitted.
+  if (conn->io.Flush() == FramedConn::Io::kClosed) OnLinkBroken(conn);
 }
 
 void NadClient::OnIoReady(Conn* conn, std::uint32_t events) {
   if (conn->link == Conn::Link::kConnecting) {
-    if (events & EventLoop::kError) {
-      conn->loop->Unwatch(conn->sock.fd());
-      conn->sock.Close();
+    if ((events & EventLoop::kError) ||
+        ((events & EventLoop::kWritable) &&
+         !FinishConnect(conn->io.socket()).ok())) {
+      conn->loop->Unwatch(conn->io.socket().fd());
+      conn->io.Reset();
       OnRedialFailed(conn);
-      return;
-    }
-    if (events & EventLoop::kWritable) {
-      if (Status st = FinishConnect(conn->sock); !st.ok()) {
-        conn->loop->Unwatch(conn->sock.fd());
-        conn->sock.Close();
-        OnRedialFailed(conn);
-        return;
-      }
+    } else if (events & EventLoop::kWritable) {
       OnRedialConnected(conn);
     }
     return;
@@ -619,52 +504,41 @@ void NadClient::OnIoReady(Conn* conn, std::uint32_t events) {
     OnLinkBroken(conn);
     return;
   }
-  if (events & EventLoop::kReadable) {
-    if (!DrainReads(conn)) return;  // link broke mid-drain
-  }
-  if ((events & EventLoop::kWritable) && conn->want_write) FlushWire(conn);
-}
-
-bool NadClient::DrainReads(Conn* conn) {
-  // Edge-triggered: drain to EAGAIN or the next edge never comes. recv
-  // lands directly in the rx buffer — no bounce buffer, no append copy.
-  // hot-path-begin(client-drain)
-  for (;;) {
-    conn->rx.EnsureTail(64 * 1024);
-    std::size_t got = 0;
-    if (Status st = RecvSome(conn->sock, conn->rx.Tail(),
-                             conn->rx.TailCapacity(), &got);
-        !st.ok()) {
+  if (events & EventLoop::kPeerClosed) conn->io.MarkPeerClosed();
+  // Edge-triggered: read until a short read empties the socket (or, once
+  // the peer has closed, until the close), dispatching every complete
+  // frame as it lands.
+  // hot-path-begin(client-read)
+  FramedConn::Io got = (events & EventLoop::kReadable)
+                           ? FramedConn::Io::kMore
+                           : FramedConn::Io::kDrained;
+  while (got == FramedConn::Io::kMore) {
+    got = conn->io.Fill();
+    if (got == FramedConn::Io::kClosed) {
       OnLinkBroken(conn);
-      return false;
+      return;
     }
-    if (got == 0) return true;  // drained (would block)
-    conn->rx.Commit(got);
-    if (!ParseFrames(conn)) return false;
-  }
-  // hot-path-end
-}
-
-bool NadClient::ParseFrames(Conn* conn) {
-  // hot-path-begin(client-parse)
-  RxBuffer& rx = conn->rx;
-  while (rx.Size() >= 4) {
-    std::uint32_t len = 0;
-    std::memcpy(&len, rx.Head(), 4);
-    if (len > kMaxFrameBytes) {
+    std::string_view payload;
+    FramedConn::Frame next = conn->io.NextFrame(&payload);
+    for (; next == FramedConn::Frame::kReady;
+         next = conn->io.NextFrame(&payload)) {
+      HandleFrame(conn, payload);
+      // The frame is dispatched; the decode views into it are dead.
+      conn->io.Consume(payload);
+    }
+    if (next == FramedConn::Frame::kBadLength) {
       LOG_WARN << "nad-client: disk " << conn->disk
-               << " sent an oversized frame (" << len
-               << " bytes); dropping the connection";
+               << " sent a frame longer than " << kMaxFrameBytes
+               << " bytes; dropping the connection";
       OnLinkBroken(conn);
-      return false;
+      return;
     }
-    if (rx.Size() - 4 < len) break;
-    HandleFrame(conn, std::string_view(rx.Head() + 4, len));
-    // The frame is dispatched; the decode views into the buffer are dead.
-    rx.Consume(4 + len);
   }
-  return true;
   // hot-path-end
+  if ((events & EventLoop::kWritable) && conn->io.want_write() &&
+      conn->io.Flush() == FramedConn::Io::kClosed) {
+    OnLinkBroken(conn);
+  }
 }
 
 void NadClient::HandleFrame(Conn* conn, std::string_view payload) {
@@ -705,18 +579,10 @@ void NadClient::HandleFrame(Conn* conn, std::string_view payload) {
   if (entry == nullptr || entry->req_type != expect) return;
   PendingOp op;
   conn->pending.Take(msg.request_id, &op);
-  if ((op.req_type == MsgType::kWriteReq ||
-       op.req_type == MsgType::kMergeReq) &&
-      op.value.size() > kSmallValueCopyBytes &&
-      conn->wire_head < conn->wire.size()) {
-    // A response for a write whose bytes are still queued can only come
-    // from a confused or hostile server (an honest response proves the
-    // frame was fully sent) — but the wire must never dangle: park the
-    // value until the queue drains. Only heap-backed values need this
-    // (the wire never references smaller, possibly-SSO ones — see
-    // kSmallValueCopyBytes); the move preserves their buffer address.
-    conn->zombies.push_back(std::move(op.value));
-  }
+  // A response for a write whose bytes are still queued can only come
+  // from a confused or hostile server (an honest response proves the
+  // frame was fully sent), but the queue must never dangle.
+  conn->io.KeepAlive(std::move(op.value));
   AddInFlight(-1);
   if (msg.type == MsgType::kReadResp) {
     hotpath::CountCopy(msg.value.size());
@@ -744,14 +610,9 @@ void NadClient::HandleFrame(Conn* conn, std::string_view payload) {
 
 void NadClient::OnLinkBroken(Conn* conn) {
   if (conn->link != Conn::Link::kUp) return;
-  if (conn->sock.valid()) {
-    conn->loop->Unwatch(conn->sock.fd());
-    conn->sock.Close();
-  }
-  conn->want_write = false;
+  if (conn->io.socket().valid()) conn->loop->Unwatch(conn->io.socket().fd());
+  conn->io.Reset();
   conn->staged.clear();
-  conn->DropWire();
-  conn->rx.Clear();
   // STATS probes die with the link: observability reads have no
   // pending-write semantics to preserve, so they fail fast instead of
   // being retransmitted. Handlers are collected first and run after the
@@ -782,16 +643,11 @@ void NadClient::OnLoopDead(EventLoop* loop) {
   for (auto& [disk, owned] : conns_) {
     Conn* conn = owned.get();
     if (conn->loop != loop) continue;
-    if (conn->sock.valid()) {
-      loop->Unwatch(conn->sock.fd());
-      conn->sock.Close();
-    }
+    if (conn->io.socket().valid()) loop->Unwatch(conn->io.socket().fd());
+    conn->io.Reset();
     conn->link = Conn::Link::kDown;
     conn->suspected_until_us.store(kSuspectForever, std::memory_order_relaxed);
-    conn->want_write = false;
     conn->staged.clear();
-    conn->DropWire();
-    conn->rx.Clear();
     const std::size_t n = conn->pending.size();
     std::vector<StatsHandler> dead_stats;
     conn->pending.ForEach([&](std::uint64_t, PendingOp& p) {
@@ -828,11 +684,11 @@ void NadClient::StartRedial(Conn* conn) {
     OnRedialFailed(conn);
     return;
   }
-  conn->sock = std::move(*sock);
-  if (Status st = conn->loop->Watch(conn->sock.fd(), conn); !st.ok()) {
+  conn->io.Reset(std::move(*sock));
+  if (Status st = conn->loop->Watch(conn->io.socket().fd(), conn); !st.ok()) {
     LOG_WARN << "nad-client: cannot watch disk " << conn->disk << ": "
              << st.ToString();
-    conn->sock.Close();
+    conn->io.Reset();
     OnRedialFailed(conn);
     return;
   }
@@ -858,12 +714,12 @@ void NadClient::OnRedialConnected(Conn* conn) {
   // so sorting ids restores issue order). Requests that were served but
   // whose response was lost get applied again — an idempotent replay of
   // a still-pending op (see the class comment). Frames are rebuilt from
-  // the pending table, so anything staged or framed before the break
-  // (already covered by the table) is dropped first rather than sent
-  // twice. Only reads/writes can be pending here: STATS died with the
-  // link and Admit fails new ones fast until the link is back up.
+  // the pending table, so anything staged before the break (already
+  // covered by the table) is dropped first rather than sent twice; the
+  // redial started on a fresh FramedConn, so nothing is queued. Only
+  // reads/writes can be pending here: STATS died with the link and Admit
+  // fails new ones fast until the link is back up.
   conn->staged.clear();
-  conn->DropWire();
   conn->staged.reserve(conn->pending.size());
   conn->pending.ForEach([&](std::uint64_t id, PendingOp&) {
     conn->staged.push_back(id);
@@ -872,8 +728,7 @@ void NadClient::OnRedialConnected(Conn* conn) {
   if (!conn->staged.empty()) {
     retries_->Inc(conn->staged.size());
   }
-  FrameStaged(conn);
-  FlushWire(conn);
+  SendStaged(conn);
 }
 
 void NadClient::MaybeArmSweep(Conn* conn,
@@ -899,14 +754,9 @@ void NadClient::Sweep(Conn* conn) {
   std::vector<WriteHandler> dead_writes;
   std::vector<StatsHandler> timed_out_stats;
   auto next = Clock::time_point::max();
-  // An expired write's bytes may still sit unsent in the wire queue
-  // (zero-copy: the chunks reference the entry's value — heap-backed
-  // values only; smaller, possibly-SSO ones were copied into the arena
-  // at framing, see kSmallValueCopyBytes). Parking the value on the
-  // zombie list keeps the queue sound until it drains: the move
-  // preserves a heap buffer's address, so the chunk stays valid even
-  // though the table slot is recycled.
-  const bool wire_busy = conn->wire_head < conn->wire.size();
+  // An expired write's bytes may still sit unsent in the send queue,
+  // whose chunks reference the entry's value: KeepAlive keeps the queue
+  // sound though the table slot is recycled.
   conn->pending.EraseIf([&](std::uint64_t, PendingOp& p) {
     if (p.expires > now) {
       next = std::min(next, p.expires);
@@ -919,9 +769,7 @@ void NadClient::Sweep(Conn* conn) {
       case MsgType::kWriteReq:
       case MsgType::kMergeReq:
         dead_writes.push_back(std::move(p.on_write));
-        if (wire_busy && p.value.size() > kSmallValueCopyBytes) {
-          conn->zombies.push_back(std::move(p.value));
-        }
+        conn->io.KeepAlive(std::move(p.value));
         break;
       case MsgType::kStatsReq:
       case MsgType::kReadResp:

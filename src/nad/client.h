@@ -6,11 +6,15 @@
 /// The transport is an event-loop core (the Aerospike async-path shape,
 /// ROADMAP item 1): N single-threaded epoll loops (Options::
 /// num_event_loops, default = hardware concurrency), each owning a
-/// disjoint pool of non-blocking connections with gather-write (writev)
-/// framing, edge-triggered readiness, and a per-loop timer wheel that
-/// absorbs what used to be a janitor thread (expiry sweeps) and the
-/// reconnect CondVar waits (backoff redial timers). Completion handlers
-/// run on the owning loop.
+/// disjoint pool of non-blocking connections, edge-triggered readiness,
+/// and a per-loop timer wheel that absorbs what used to be a janitor
+/// thread (expiry sweeps) and the reconnect CondVar waits (backoff redial
+/// timers). Completion handlers run on the owning loop. Each connection
+/// moves its bytes through a FramedConn (protocol.h), the same
+/// connection core the daemon uses: gather-write (writev) framing out,
+/// and a read drain that a short read ends unless the peer has closed.
+/// The client keeps only its protocol state beside it: the pending
+/// table, the staged ids, the link state, the breaker and the backoff.
 ///
 /// The client-facing API is one entry point: Submit(process, ops,
 /// options) takes a vector of Op variants — reads, writes, coded-cell
@@ -35,7 +39,7 @@
 /// fail-prone model):
 ///
 ///  * Reconnect — when a connection dies (send or recv failure), its loop
-///    clears the wire buffers, schedules a redial on the timer wheel with
+///    resets its FramedConn, schedules a redial on the timer wheel with
 ///    capped exponential backoff + jitter (nad/retry.h), performs a
 ///    non-blocking connect, and retransmits every still-pending request
 ///    on the new socket. Retransmission can apply a write twice; that is
@@ -57,8 +61,8 @@
 ///    operations to that disk instead of letting a phase hang on it;
 ///    after a cooldown the breaker half-opens and traffic probes again.
 ///
-/// Ownership contract (DESIGN.md §12): all connection state — socket,
-/// staged/wire queues, the pending-op table, breaker, backoff, timers —
+/// Ownership contract (DESIGN.md §12): all connection state — the
+/// FramedConn, staged ids, the pending-op table, breaker, backoff, timers —
 /// is owned by the connection's loop and touched only on the loop thread
 /// (the single-writer rule). The old send_mu → pending_mu nesting is
 /// gone; the only client mutexes left are each loop's task inbox and the
@@ -70,7 +74,7 @@
 /// one PendingTable per connection (stable slab entries, no per-op node
 /// allocations) instead of three unordered_maps; frames are built by
 /// protocol.h's FrameWriter as WireChunks — headers bump-allocated from
-/// a per-connection tx arena, write values referenced IN PLACE from
+/// the connection's queue arena, write values referenced IN PLACE from
 /// their pending-table entries — and gather-written straight to writev,
 /// so a write's value bytes are copied exactly zero times between Submit
 /// and the kernel (values small enough to be SSO are the exception: they
@@ -78,12 +82,12 @@
 /// buffer — see kSmallValueCopyBytes). Responses are decoded as views
 /// (DecodeMessageView over the rx buffer, allocating nothing); the only
 /// hot-path copy left is materializing a read's Value for its handler.
-/// The tx arena resets when the wire drains. Heap-backed write values
-/// whose ops expire while their bytes are still queued move to a
-/// per-connection zombie list that dies when the wire drains — the
+/// The arena resets when the queue drains. Heap-backed write values
+/// whose ops expire while their bytes are still queued go to
+/// FramedConn::KeepAlive, a zombie list that dies with the queue — the
 /// gather queue never dangles. Under sustained send backpressure the
-/// queue is periodically compacted (CompactWire): the sent prefix,
-/// its arena headers, and the zombies reclaim without a full drain.
+/// queue is compacted (FramedConn::Compact): the sent prefix, its arena
+/// headers, and the zombies reclaim without a full drain.
 ///
 /// Observability: per-RPC latency ("nad.client.read_us"/"write_us"),
 /// outstanding depth ("nad.client.in_flight"), coalescing depth
@@ -245,18 +249,12 @@ class NadClient : public BaseRegisterClient {
   // ---- Loop-thread-only internals (see client.cc) ----
   void RegisterConn(Conn* conn);
   void Admit(std::vector<SubmitEntry> entries);
+  /// Redial completion, response reads and write resumption.
   void OnIoReady(Conn* conn, std::uint32_t events);
-  bool DrainReads(Conn* conn);
-  bool ParseFrames(Conn* conn);
   /// Decodes one response frame and completes its pending op.
   void HandleFrame(Conn* conn, std::string_view payload);
-  void FrameStaged(Conn* conn);
-  void FlushWire(Conn* conn);
-  /// Backpressure escape hatch: rewrites a partially-sent wire queue as
-  /// one arena-backed chunk (protocol.h's CompactWire) so the sent chunk
-  /// prefix, its arena headers, and the zombie values reclaim without
-  /// waiting for a full drain.
-  void CompactWireQueue(Conn* conn);
+  /// Frames the staged ops into the send queue and flushes it.
+  void SendStaged(Conn* conn);
   void OnLinkBroken(Conn* conn);
   /// Fatal-handler body for a loop that died of an epoll failure: marks
   /// its connections dead-for-good (suspected forever) and resolves

@@ -1,7 +1,12 @@
 #include "nad/protocol.h"
 
+#include <sys/uio.h>
+
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "common/hotpath_stats.h"
 
@@ -36,42 +41,6 @@ std::string EncodeMessage(const Message& m) {
       break;
   }
   return out;
-}
-
-std::size_t EncodedMessageSize(const Message& m) {
-  std::size_t n = 1 + 8;  // type + request id
-  switch (m.type) {
-    case MsgType::kReadReq:
-      n += 4 + 8;
-      break;
-    case MsgType::kWriteReq:
-    case MsgType::kMergeReq:
-      n += 4 + 8 + 4 + m.value.size();
-      break;
-    case MsgType::kReadResp:
-    case MsgType::kStatsResp:
-      n += 4 + m.value.size();
-      break;
-    case MsgType::kWriteResp:
-    case MsgType::kMergeResp:
-    case MsgType::kStatsReq:
-      break;
-  }
-  return n;
-}
-
-Expected<std::string> EncodeMessageChecked(const Message& m) {
-  // Size check FIRST: an oversized message (a write value near the cap)
-  // fails fast without materializing the multi-megabyte encode it would
-  // then throw away.
-  const std::size_t size = EncodedMessageSize(m);
-  if (size > kMaxFrameBytes) {
-    return Status::Invalid("message: encoded payload of " +
-                           std::to_string(size) +
-                           " bytes exceeds frame cap of " +
-                           std::to_string(kMaxFrameBytes));
-  }
-  return EncodeMessage(m);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,27 +124,6 @@ void FrameWriter::PutBytesCopy(std::string_view v) {
   if (v.empty()) return;
   hotpath::CountCopy(v.size());
   std::memcpy(HeaderBytes(v.size()), v.data(), v.size());
-}
-
-void CompactWire(std::vector<WireChunk>* wire, std::size_t* head,
-                 std::size_t* off, Arena* arena, std::string* scratch) {
-  assert(*head < wire->size() || *off == 0);
-  // Bounce every unsent byte through `scratch`: the arena cannot be
-  // Reset while copying directly out of its own slabs.
-  scratch->clear();
-  for (std::size_t i = *head; i < wire->size(); ++i) {
-    const WireChunk& c = (*wire)[i];
-    const std::size_t skip = i == *head ? *off : 0;
-    scratch->append(c.data + skip, c.len - skip);
-  }
-  wire->clear();
-  *head = 0;
-  *off = 0;
-  arena->Reset();
-  if (scratch->empty()) return;
-  hotpath::CountCopy(scratch->size());
-  char* base = arena->Copy(scratch->data(), scratch->size());
-  wire->push_back(WireChunk{base, scratch->size()});
 }
 
 void AppendPayload(FrameWriter& w, MsgType t, std::uint64_t request_id,
@@ -329,6 +277,143 @@ Expected<Message> DecodeMessage(std::string_view payload) {
   }
   if (!d.AtEnd()) return Status::Invalid("message: trailing bytes");
   return m;
+}
+
+// ---------------------------------------------------------------------------
+// FramedConn: the connection core of both ends (see protocol.h).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// iovecs per sendmsg; a longer queue takes several calls (IOV_MAX is
+/// 1024 on Linux).
+constexpr std::size_t kMaxIov = 256;
+/// Receive granularity when no partial frame says how much is coming.
+constexpr std::size_t kRecvBytes = 64 * 1024;
+/// Sent-chunk count past which a parked queue is compacted: under
+/// sustained partial sends to a slow peer the sent prefix, its arena
+/// headers and the zombies would otherwise be reclaimed only when the
+/// queue fully drains, which may be never while frames keep coming.
+constexpr std::size_t kCompactChunks = 64;
+
+}  // namespace
+
+void FramedConn::KeepAlive(Value&& v) {
+  if (busy() && v.size() > kSmallValueCopyBytes) {
+    zombies_.push_back(std::move(v));
+  }
+}
+
+FramedConn::Io FramedConn::Fill() {
+  // hot-path-begin(conn-fill)
+  std::size_t want = kRecvBytes;
+  if (rx_.Size() >= 4) {
+    // A partial frame is buffered: make room for all of it at once.
+    std::uint32_t len = 0;
+    std::memcpy(&len, rx_.Head(), 4);
+    const std::size_t frame =
+        4 + std::min<std::size_t>(len, kMaxFrameBytes);
+    if (frame > rx_.Size()) want = std::max(want, frame - rx_.Size());
+  }
+  rx_.EnsureTail(want);
+  const std::size_t room = rx_.TailCapacity();
+  std::size_t got = 0;
+  if (!RecvSome(sock_, rx_.Tail(), room, &got).ok()) return Io::kClosed;
+  rx_.Commit(got);
+  // A short read emptied the socket; the next edge announces more bytes.
+  // Once the peer has closed no edge follows, so read on to the close.
+  const bool drained = got == 0 || (got < room && !peer_closed_);
+  return drained ? Io::kDrained : Io::kMore;
+  // hot-path-end
+}
+
+FramedConn::Frame FramedConn::NextFrame(std::string_view* payload) const {
+  // hot-path-begin(conn-next-frame)
+  if (rx_.Size() < 4) return Frame::kNone;
+  std::uint32_t len = 0;
+  std::memcpy(&len, rx_.Head(), 4);
+  if (len > kMaxFrameBytes) return Frame::kBadLength;
+  if (rx_.Size() - 4 < len) return Frame::kNone;
+  *payload = std::string_view(rx_.Head() + 4, len);
+  return Frame::kReady;
+  // hot-path-end
+}
+
+FramedConn::Io FramedConn::Flush() {
+  // hot-path-begin(conn-flush)
+  while (head_ < chunks_.size()) {
+    // Gather up to kMaxIov spans, the front one past the bytes a partial
+    // send already took.
+    std::array<iovec, kMaxIov> iov;
+    std::size_t iov_count = 0;
+    std::size_t skip = off_;
+    for (std::size_t i = head_; i < chunks_.size() && iov_count < iov.size();
+         ++i) {
+      const WireChunk& chunk = chunks_[i];
+      iov[iov_count++] =
+          iovec{const_cast<char*>(chunk.data) + skip, chunk.len - skip};
+      skip = 0;
+    }
+    std::size_t sent = 0;
+    if (!SendSome(sock_, iov.data(), iov_count, &sent).ok()) {
+      return Io::kClosed;
+    }
+    if (sent == 0) {
+      // Kernel buffer full: resume on the next EPOLLOUT edge, reclaiming
+      // a long sent prefix now rather than at a drain that may not come.
+      want_write_ = true;
+      if (head_ >= kCompactChunks) Compact();
+      return Io::kParked;
+    }
+    while (sent > 0) {
+      const std::size_t remaining = chunks_[head_].len - off_;
+      if (sent < remaining) {
+        off_ += sent;
+        break;
+      }
+      sent -= remaining;
+      ++head_;
+      off_ = 0;
+    }
+  }
+  // Everything is in the kernel: nothing references the arena or the
+  // zombies anymore.
+  ClearQueue();
+  want_write_ = false;
+  return Io::kDrained;
+  // hot-path-end
+}
+
+void FramedConn::Compact() {
+  // Bounce every unsent byte through scratch_: the arena cannot be Reset
+  // while copying out of its own slabs. Afterwards no chunk references
+  // the owner's values, so the zombies go too.
+  scratch_.clear();
+  for (std::size_t i = head_; i < chunks_.size(); ++i) {
+    const std::size_t skip = i == head_ ? off_ : 0;
+    scratch_.append(chunks_[i].data + skip, chunks_[i].len - skip);
+  }
+  ClearQueue();
+  if (scratch_.empty()) return;
+  hotpath::CountCopy(scratch_.size());
+  chunks_.push_back(
+      WireChunk{arena_.Copy(scratch_.data(), scratch_.size()), scratch_.size()});
+}
+
+void FramedConn::Reset(Socket sock) {
+  sock_ = std::move(sock);
+  rx_.Clear();
+  ClearQueue();
+  want_write_ = false;
+  peer_closed_ = false;
+}
+
+void FramedConn::ClearQueue() {
+  chunks_.clear();
+  head_ = 0;
+  off_ = 0;
+  arena_.Reset();
+  zombies_.clear();
 }
 
 Expected<Endpoint> ParseEndpoint(std::string_view s) {

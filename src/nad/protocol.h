@@ -46,7 +46,8 @@
 ///    frames directly as a list of WireChunks: header bytes are
 ///    bump-allocated from an Arena and merged into contiguous runs, value
 ///    bytes are REFERENCED in place (zero-copy) and scatter-gathered into
-///    writev by the caller. DecodeMessageView parses a frame into views
+///    writev by FramedConn, the connection core the client and the
+///    server share. DecodeMessageView parses a frame into views
 ///    over the receive buffer and allocates nothing. Ownership rules are
 ///    documented on each type (and DESIGN.md §14).
 ///  * Message + EncodeMessage/DecodeMessage — the owning, materializing
@@ -57,12 +58,14 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/codec.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "nad/socket.h"
 
 namespace nadreg::nad {
 
@@ -98,18 +101,6 @@ std::string EncodeMessage(const Message& m);
 /// malformed or hostile length prefix).
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 
-/// Exact encoded payload size of `m` (without the frame length prefix),
-/// computed without materializing anything.
-std::size_t EncodedMessageSize(const Message& m);
-
-/// Serializes a message, enforcing kMaxFrameBytes on the *encode* path:
-/// an oversized payload (e.g. a write value near the frame cap) fails
-/// fast with kInvalid instead of hitting the wire and desynchronizing or
-/// killing the connection at the peer's decode guard. The size check runs
-/// BEFORE encoding, so an oversized message costs a size computation, not
-/// a multi-megabyte materialization that is then thrown away.
-[[nodiscard]] Expected<std::string> EncodeMessageChecked(const Message& m);
-
 /// One contiguous span of outbound bytes — the unit of the zero-copy
 /// gather path. Chunks either point into an Arena (frame headers, copied
 /// values) or into caller-owned value storage; see FrameWriter.
@@ -123,8 +114,8 @@ struct WireChunk {
 ///  * Correctness: a std::string this small may store its bytes inline
 ///    (SSO; libstdc++ caps at 15, libc++ at 22, MSVC at 15). An inline
 ///    buffer lives inside the string object, so moving the string — as
-///    the client does when it parks a completed-but-unsent write value on
-///    its zombie list — mutates or relocates the referenced bytes and the
+///    FramedConn::KeepAlive does with a completed-but-unsent write value
+///    — mutates or relocates the referenced bytes and the
 ///    queued chunk transmits garbage. Above this threshold every
 ///    mainstream implementation heap-allocates, and moving the string
 ///    preserves the buffer address.
@@ -219,20 +210,95 @@ struct MessageView {
 /// be framed.
 inline constexpr std::size_t kWriteReqOverhead = 1 + 8 + 4 + 8 + 4;
 
-/// Compacts a partially-sent gather queue in place: drops the fully-sent
-/// chunk prefix (`*head` chunks plus `*off` bytes of the next one) and
-/// copies every remaining unsent byte into `arena`, which is Reset first
-/// and therefore must own nothing but this queue's header bytes. On
-/// return the queue is at most one chunk (aliasing only the arena —
-/// external value storage the old chunks referenced may be freed),
-/// *head == 0 and *off == 0. `scratch` is the bounce buffer; its
-/// capacity is retained across calls.
+/// One non-blocking connection's framed byte streams: the one
+/// connection core of the client and the daemon. It owns the socket, the
+/// receive buffer frames are parsed from, and the gather queue of
+/// outbound frames with the arena their headers live in. Each side keeps
+/// only its protocol state on top (the client its pending table, link
+/// state and breaker; the daemon its fault filter). Loop-confined: only
+/// the owning event loop touches it, so nothing here is locked.
 ///
-/// This is the slow-peer escape hatch: under sustained partial sends the
-/// sent prefix, its arena headers, and any parked values would otherwise
-/// be reclaimed only when the queue fully drains.
-void CompactWire(std::vector<WireChunk>* wire, std::size_t* head,
-                 std::size_t* off, Arena* arena, std::string* scratch);
+/// The owner drives it on readiness edges: Fill and NextFrame/Consume
+/// on kReadable, Flush on kWritable while want_write(). Sockets are
+/// edge-triggered (event_loop.h), and both sides drain reads alike: a
+/// short read ends the drain unless MarkPeerClosed was called, in which
+/// case reads go on to the close.
+///
+/// Ownership (DESIGN.md §14): queued chunks alias the arena and the
+/// values the owner framed by reference; those must outlive the chunks.
+/// A value whose owner dies while its bytes may still be queued goes to
+/// KeepAlive, which parks it on a zombie list that dies with the queue.
+class FramedConn {
+ public:
+  /// How Fill or Flush left the socket.
+  enum class Io : std::uint8_t {
+    kMore,     // Fill: the read filled its buffer; more may be waiting
+    kDrained,  // Fill: the socket is empty. Flush: the queue is sent
+    kParked,   // Flush: the kernel is full; flush again on kWritable
+    kClosed,   // the peer closed or the socket failed
+  };
+  /// What NextFrame found at the front of the receive buffer.
+  enum class Frame : std::uint8_t { kReady, kNone, kBadLength };
+
+  FramedConn() = default;
+  explicit FramedConn(Socket sock) : sock_(std::move(sock)) {}
+
+  const Socket& socket() const { return sock_; }
+  /// A partial send parked the queue until the next kWritable edge.
+  bool want_write() const { return want_write_; }
+  /// Unsent bytes are queued.
+  bool busy() const { return head_ < chunks_.size(); }
+  /// The peer shut its side (EventLoop::kPeerClosed): no edge follows,
+  /// so Fill reports kDrained only at the close.
+  void MarkPeerClosed() { peer_closed_ = true; }
+
+  /// A writer that appends frames to the send queue.
+  FrameWriter Writer() { return FrameWriter(&arena_, &chunks_); }
+  /// Keeps `v` alive while queued chunks may still reference it. Only a
+  /// heap-backed value can be referenced (PutBytesRef copies smaller
+  /// ones), and moving it keeps its buffer at the same address.
+  void KeepAlive(Value&& v);
+
+  /// One recv into the receive buffer, sized to hold a buffered partial
+  /// frame whole. kDrained on a short read (unless the peer closed),
+  /// kMore on a full one, kClosed at the close or on an error.
+  Io Fill();
+  /// The payload of the next complete buffered frame. kNone while it is
+  /// incomplete; kBadLength when its length exceeds kMaxFrameBytes (the
+  /// stream cannot be resynchronized). The view is valid until Consume.
+  Frame NextFrame(std::string_view* payload) const;
+  /// Drops the frame NextFrame returned; views into it die.
+  void Consume(std::string_view payload) { rx_.Consume(4 + payload.size()); }
+
+  /// Gather-sends the queue: kDrained once the kernel holds all of it
+  /// (the arena, the chunks and the zombies recycle), kParked when the
+  /// kernel buffer filled first, kClosed when the socket broke.
+  Io Flush();
+  /// Rewrites the unsent bytes as one arena-backed chunk, so the sent
+  /// chunk prefix, its headers and the zombies reclaim without a full
+  /// drain. Flush runs it under sustained backpressure.
+  void Compact();
+  /// Adopts `sock` (closing the old socket) and drops the receive
+  /// buffer, the send queue and the peer-closed mark.
+  void Reset(Socket sock = Socket());
+
+ private:
+  /// Drops the send queue: chunks, their arena bytes and the zombies.
+  void ClearQueue();
+
+  Socket sock_;
+  RxBuffer rx_;
+  Arena arena_;  // frame headers and copied values of queued chunks
+  std::vector<WireChunk> chunks_;  // unsent from chunks_[head_] + off_ on
+  std::size_t head_ = 0;
+  std::size_t off_ = 0;
+  /// Values that queued chunks may reference after their owner let go;
+  /// empty in steady state.
+  std::vector<Value> zombies_;
+  std::string scratch_;  // Compact's bounce buffer (capacity reused)
+  bool want_write_ = false;
+  bool peer_closed_ = false;
+};
 
 /// Where a NAD server listens / a client connects. Shared by every binary
 /// that names a disk on the network (client library, CLIs, demos).

@@ -1,12 +1,7 @@
 #include "nad/server.h"
 
-#include <sys/uio.h>
-
 #include <algorithm>
-#include <array>
-#include <cstring>
 
-#include "common/arena.h"
 #include "common/coded_cell.h"
 #include "common/hotpath_stats.h"
 #include "common/log.h"
@@ -16,11 +11,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// iovecs per sendmsg; a longer response queue takes several calls.
-constexpr std::size_t kMaxIov = 256;
-/// Receive granularity when no partial frame says how much is coming.
-constexpr std::size_t kRecvBytes = 64 * 1024;
-
 }  // namespace
 
 /// One client connection; loop-confined like the rest of the daemon.
@@ -29,27 +19,18 @@ struct NadServer::Conn final : EventLoop::IoWatcher {
   enum class Filter : std::uint8_t { kPending, kServe, kDrop };
 
   Conn(NadServer* s, Socket so, Rng r)
-      : server(s), sock(std::move(so)), rng(r) {}
+      : server(s), io(std::move(so)), rng(r) {}
 
   void OnIoReady(std::uint32_t events) override {
     server->OnConnReady(this, events);
   }
-  bool parked() const { return want_write || hold_timer != 0; }
+  bool parked() const { return io.want_write() || hold_timer != 0; }
 
   NadServer* server;
-  Socket sock;
+  /// The socket, the request bytes, and the burst's queued responses.
+  FramedConn io;
   Rng rng;  // drop and delay rolls
-  RxBuffer rx;
-  /// The burst's responses: spans into `arena`, unsent from
-  /// chunks[head] + off on.
-  Arena arena;
-  std::vector<WireChunk> chunks;
-  std::size_t head = 0;
-  std::size_t off = 0;
-  bool want_write = false;        // parked until EPOLLOUT
-  std::uint64_t hold_timer = 0;   // parked on a fault timer (wheel id)
-  /// The peer shut its side: read to the close, not to a short read.
-  bool peer_closed = false;
+  std::uint64_t hold_timer = 0;  // parked on a fault timer (wheel id)
   Filter filter = Filter::kPending;
 };
 
@@ -189,30 +170,31 @@ void NadServer::OnIoReady(std::uint32_t /*events*/) {
     if (!sock) return;
     if (!SetNonBlocking(*sock).ok()) continue;
     auto conn = std::make_unique<Conn>(this, std::move(*sock), rng_.Fork());
-    if (!loop_->Watch(conn->sock.fd(), conn.get()).ok()) continue;
+    if (!loop_->Watch(conn->io.socket().fd(), conn.get()).ok()) continue;
     conns_.push_back(std::move(conn));
   }
 }
 
 void NadServer::OnConnReady(Conn* c, std::uint32_t events) {
   // A stale edge for a connection closed earlier in this epoll batch.
-  if (!c->sock.valid()) return;
+  if (!c->io.socket().valid()) return;
   if (events & EventLoop::kError) {
     Close(c);
     return;
   }
-  if (events & EventLoop::kPeerClosed) c->peer_closed = true;
+  if (events & EventLoop::kPeerClosed) c->io.MarkPeerClosed();
   bool pump = (events & EventLoop::kReadable) != 0;
-  if ((events & EventLoop::kWritable) && c->want_write) {
-    c->want_write = false;
-    if (!Flush(c)) return;  // still backed up, or closed
+  if ((events & EventLoop::kWritable) && c->io.want_write()) {
+    const FramedConn::Io sent = c->io.Flush();
+    if (sent == FramedConn::Io::kClosed) Close(c);
+    if (sent != FramedConn::Io::kDrained) return;  // still backed up
     pump = true;  // serve what the full send buffer held back
   }
   if (pump) Pump(c);
 }
 
 void NadServer::Pump(Conn* c) {
-  bool drained = false;
+  FramedConn::Io got = FramedConn::Io::kMore;
   while (!c->parked()) {
     const BurstEnd end = ServeBurst(c);
     if (end == BurstEnd::kBadFrame) {
@@ -221,57 +203,41 @@ void NadServer::Pump(Conn* c) {
     }
     // Queued answers leave even when the burst is held: a stall must
     // not hold STATS.
-    if (!Flush(c) || end == BurstEnd::kHeld) return;
+    const FramedConn::Io sent = c->io.Flush();
+    if (sent == FramedConn::Io::kClosed) {
+      Close(c);
+      return;
+    }
+    if (sent == FramedConn::Io::kParked || end == BurstEnd::kHeld) return;
     if (end == BurstEnd::kFull) continue;
-    if (drained || !Fill(c, &drained)) return;
+    if (got == FramedConn::Io::kDrained) return;
+    got = c->io.Fill();
+    if (got == FramedConn::Io::kClosed) {
+      Close(c);  // peer closed, or a socket error
+      return;
+    }
   }
-}
-
-bool NadServer::Fill(Conn* c, bool* drained) {
-  // hot-path-begin(server-fill)
-  RxBuffer& rx = c->rx;
-  std::size_t want = kRecvBytes;
-  if (rx.Size() >= 4) {
-    // A partial frame is buffered: make room for all of it at once.
-    std::uint32_t len = 0;
-    std::memcpy(&len, rx.Head(), 4);
-    want = std::max(want, 4 + static_cast<std::size_t>(len) - rx.Size());
-  }
-  rx.EnsureTail(want);
-  const std::size_t room = rx.TailCapacity();
-  std::size_t got = 0;
-  if (!RecvSome(c->sock, rx.Tail(), room, &got).ok()) {
-    Close(c);  // peer closed, or a socket error
-    return false;
-  }
-  rx.Commit(got);
-  // A short read emptied the socket; the next edge announces more bytes.
-  // Once the peer has closed no edge follows, so read on to the close.
-  *drained = got == 0 || (got < room && !c->peer_closed);
-  return true;
-  // hot-path-end
 }
 
 NadServer::BurstEnd NadServer::ServeBurst(Conn* c) {
   // hot-path-begin(server-serve)
-  RxBuffer& rx = c->rx;
-  FrameWriter w(&c->arena, &c->chunks);
+  FrameWriter w = c->io.Writer();
   std::size_t ops = 0;
   BurstEnd end = BurstEnd::kDrained;
-  while (rx.Size() >= 4) {
-    // About a frame's worth of responses ends the burst early.
-    if (c->arena.bytes_used() >= kMaxFrameBytes) {
-      end = BurstEnd::kFull;
-      break;
-    }
-    std::uint32_t len = 0;
-    std::memcpy(&len, rx.Head(), 4);
-    if (len > kMaxFrameBytes) {
+  std::string_view payload;
+  for (;;) {
+    const FramedConn::Frame next = c->io.NextFrame(&payload);
+    if (next == FramedConn::Frame::kNone) break;
+    if (next == FramedConn::Frame::kBadLength) {
       end = BurstEnd::kBadFrame;
       break;
     }
-    if (rx.Size() - 4 < len) break;
-    auto msg = DecodeMessageView(std::string_view(rx.Head() + 4, len));
+    // About a frame's worth of responses ends the burst early.
+    if (w.arena()->bytes_used() >= kMaxFrameBytes) {
+      end = BurstEnd::kFull;
+      break;
+    }
+    auto msg = DecodeMessageView(payload);
     if (!msg) {
       LOG_WARN << "nad-server: dropping malformed request: "
                << msg.status().ToString();
@@ -294,52 +260,11 @@ NadServer::BurstEnd NadServer::ServeBurst(Conn* c) {
       ++ops;
     }
     // The frame is served; the decode views into the buffer are dead.
-    rx.Consume(4 + len);
+    c->io.Consume(payload);
   }
   if (ops > 0) batch_size_->Observe(ops);
   if (end != BurstEnd::kHeld) c->filter = Conn::Filter::kPending;
   return end;
-  // hot-path-end
-}
-
-bool NadServer::Flush(Conn* c) {
-  // hot-path-begin(server-flush)
-  while (c->head < c->chunks.size()) {
-    std::array<iovec, kMaxIov> iov;
-    std::size_t iov_count = 0;
-    std::size_t skip = c->off;
-    for (std::size_t i = c->head;
-         i < c->chunks.size() && iov_count < iov.size(); ++i) {
-      const WireChunk& chunk = c->chunks[i];
-      iov[iov_count++] =
-          iovec{const_cast<char*>(chunk.data) + skip, chunk.len - skip};
-      skip = 0;
-    }
-    std::size_t sent = 0;
-    if (!SendSome(c->sock, iov.data(), iov_count, &sent).ok()) {
-      Close(c);
-      return false;
-    }
-    if (sent == 0) {
-      c->want_write = true;  // resume on the next EPOLLOUT edge
-      return false;
-    }
-    while (sent > 0) {
-      const std::size_t remaining = c->chunks[c->head].len - c->off;
-      if (sent < remaining) {
-        c->off += sent;
-        break;
-      }
-      sent -= remaining;
-      ++c->head;
-      c->off = 0;
-    }
-  }
-  // Everything is in the kernel: the burst's arena and chunks recycle.
-  c->chunks.clear();
-  c->head = 0;
-  c->arena.Reset();
-  return true;
   // hot-path-end
 }
 
@@ -374,8 +299,8 @@ void NadServer::Hold(Conn* c, Clock::time_point until) {
 void NadServer::Close(Conn* c) {
   if (c->hold_timer != 0) loop_->timers().Cancel(c->hold_timer);
   c->hold_timer = 0;
-  loop_->Unwatch(c->sock.fd());
-  c->sock.Close();
+  loop_->Unwatch(c->io.socket().fd());
+  c->io.Reset();
   const auto it = std::find_if(
       conns_.begin(), conns_.end(),
       [c](const std::unique_ptr<Conn>& p) { return p.get() == c; });

@@ -15,10 +15,13 @@
 /// then applied inline, which makes write-ahead order hold trivially.
 ///
 /// Bursts: every frame carries one operation (protocol.h), and batching
-/// is a syscall property. A readable connection is drained into its
-/// RxBuffer with RecvSome; every complete buffered frame is then served
-/// as one *burst*, answered in FIFO order with one SendSome. A short read
-/// ends the drain without a trailing EAGAIN recv. A crashed register's
+/// is a syscall property. Each connection moves its bytes through a
+/// FramedConn (protocol.h), the connection core the client shares; the
+/// daemon keeps only its fault-filter state beside it. A readable
+/// connection is filled from the socket; every complete buffered frame is
+/// then served as one *burst*, answered in FIFO order with one sendmsg.
+/// A short read ends the drain without a trailing EAGAIN recv, on both
+/// sides of the link. A crashed register's
 /// response is simply omitted from the burst while its neighbours answer;
 /// a burst whose every op is swallowed sends nothing.
 /// "nad.server.batch_size" counts the ops of each burst. A send the
@@ -47,8 +50,8 @@
 ///
 /// Memory discipline (DESIGN.md §14): the serve path is zero-copy end to
 /// end. Frames are decoded into MessageViews over the connection's
-/// RxBuffer and answered through a FrameWriter into a per-connection
-/// arena gathered out with one sendmsg — write values are journaled and
+/// receive buffer and answered through a FrameWriter into the
+/// connection's queue arena, gathered out with one sendmsg — write values are journaled and
 /// applied straight from the receive buffer; a read's value is copied
 /// exactly once, out of the store into the response arena. The arena and
 /// the chunk list reset per burst; a burst ends early once its responses
@@ -149,13 +152,8 @@ class NadServer : public faults::FaultSink, private EventLoop::IoWatcher {
   void OnConnReady(Conn* c, std::uint32_t events);
   /// Reads, serves and answers until the socket would block or `c` parks.
   void Pump(Conn* c);
-  /// Reads what the socket has into c->rx. False when `c` was closed.
-  bool Fill(Conn* c, bool* drained);
-  /// Serves the complete frames buffered in c->rx as one burst.
+  /// Serves the complete frames buffered in c->io as one burst.
   BurstEnd ServeBurst(Conn* c);
-  /// Sends c's queued responses. True once all of them are in the kernel;
-  /// false when `c` parked on EPOLLOUT or was closed.
-  bool Flush(Conn* c);
   /// The transport fault filter, run once per burst before its first disk
   /// op. False when the burst is held: `c` is parked on a wheel timer.
   bool FaultFilter(Conn* c);

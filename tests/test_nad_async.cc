@@ -303,7 +303,8 @@ TEST(NadAsync, ThousandClientSmoke) {
   for (int k = 0; k < kSessions; ++k) {
     const RegisterId reg{static_cast<DiskId>(k % 3),
                          static_cast<BlockId>(k)};
-    const std::string payload = "s" + std::to_string(k);
+    std::string payload = "s";
+    payload += std::to_string(k);
     cluster.client->IssueWrite(k, reg, payload, [&, reg, payload, k] {
       cluster.client->IssueRead(k, reg, [&, payload](Value v) {
         if (v != payload) ++mismatches;

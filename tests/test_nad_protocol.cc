@@ -1,14 +1,19 @@
 // Unit tests for the NAD wire protocol: roundtrips of all message
 // types, runs of per-op frames (what one writev or one server burst
 // carries), rejection of malformed payloads and of the retired batch
-// type codes, fuzz totality — and the zero-copy surface (FrameWriter /
+// type codes, fuzz totality; the zero-copy surface (FrameWriter /
 // DecodeMessageView) checked byte-for-byte against the
-// materializing EncodeMessage/DecodeMessage golden pair.
+// materializing EncodeMessage/DecodeMessage golden pair; and the send
+// queue of FramedConn, the connection core both ends share, over a
+// socketpair: compaction under backpressure and values kept alive.
 #include "nad/protocol.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 #include <utility>
 
 #include "common/rng.h"
@@ -271,26 +276,18 @@ TEST(Protocol, BatchFuzzDecodeIsTotalAndCanonical) {
   }
 }
 
-TEST(Protocol, CheckedEncodeRejectsOversizedWrite) {
-  // A write whose frame would blow the cap fails fast with kInvalid on
-  // the encode path — it must never hit the wire and desynchronize or
-  // kill the connection at the server's decode guard.
-  Message big = MakeWrite(1, 0, 0, std::string(kMaxFrameBytes, 'x'));
-  auto encoded = EncodeMessageChecked(big);
-  ASSERT_FALSE(encoded.ok());
-  EXPECT_EQ(encoded.status().code(), StatusCode::kInvalid);
-}
-
 TEST(Protocol, CheckedEncodeAcceptsLargestFramableWrite) {
+  // The client's size guard (Submit) admits write values up to
+  // kMaxFrameBytes - kWriteReqOverhead: exactly the largest frame a peer
+  // accepts. NadRobustness.OversizedValueRejectedClientSide pins the
+  // reject side end to end.
   Message fits =
       MakeWrite(1, 0, 0, std::string(kMaxFrameBytes - kWriteReqOverhead, 'x'));
-  auto encoded = EncodeMessageChecked(fits);
-  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
-  EXPECT_EQ(encoded->size(), kMaxFrameBytes);
+  EXPECT_EQ(EncodeMessage(fits).size(), kMaxFrameBytes);
   // One byte more can never be framed.
   Message over = MakeWrite(
       1, 0, 0, std::string(kMaxFrameBytes - kWriteReqOverhead + 1, 'x'));
-  EXPECT_FALSE(EncodeMessageChecked(over).ok());
+  EXPECT_GT(EncodeMessage(over).size(), kMaxFrameBytes);
 }
 
 TEST(Protocol, FuzzDecodeIsTotal) {
@@ -362,7 +359,6 @@ TEST(FrameWriter, MatchesEncodeMessageForEveryNonBatchType) {
     const std::size_t payload_len = w.EndFrame();
     const std::string golden = EncodeMessage(m);
     EXPECT_EQ(payload_len, golden.size());
-    EXPECT_EQ(payload_len, EncodedMessageSize(m));
     EXPECT_EQ(Flatten(chunks), FramePrefix(golden))
         << "type " << static_cast<int>(m.type);
   }
@@ -600,63 +596,119 @@ TEST(ProtocolView, FuzzParityWithDecodeMessage) {
   }
 }
 
+// A FramedConn on one end of a socketpair with a small send buffer, so
+// a queue of a few hundred KiB parks part-way; the test reads the other
+// end to see exactly the byte stream the connection sent.
+class ConnPair {
+ public:
+  ConnPair() {
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    const int small = 4096;
+    ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof small);
+    Socket mine(fds[0]);
+    peer_ = Socket(fds[1]);
+    EXPECT_TRUE(SetNonBlocking(mine).ok());
+    EXPECT_TRUE(SetNonBlocking(peer_).ok());
+    conn.Reset(std::move(mine));
+  }
+
+  /// Queues one write frame per value, referencing the values in place.
+  void QueueWrites(const std::vector<std::string>& values,
+                   std::uint64_t first_id) {
+    FrameWriter w = conn.Writer();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      w.BeginFrame();
+      AppendPayload(w, MsgType::kWriteReq, first_id + i, RegisterId{0, i},
+                    values[i]);
+      w.EndFrame();
+    }
+  }
+
+  /// Flushes, reading the peer end, until the queue drains; returns the
+  /// bytes the peer received.
+  std::string FlushAll() {
+    std::string got;
+    for (int i = 0; i < 100000; ++i) {
+      const FramedConn::Io io = conn.Flush();
+      EXPECT_NE(io, FramedConn::Io::kClosed);
+      got += ReadPeer();
+      if (io != FramedConn::Io::kParked) break;
+    }
+    return got + ReadPeer();
+  }
+
+  /// Everything the peer end can read right now.
+  std::string ReadPeer() {
+    std::string got;
+    char buf[64 * 1024];
+    for (;;) {
+      const ssize_t n = ::recv(peer_.fd(), buf, sizeof buf, 0);
+      if (n <= 0) return got;
+      got.append(buf, static_cast<std::size_t>(n));
+    }
+  }
+
+  FramedConn conn;
+
+ private:
+  Socket peer_;
+};
+
+std::vector<std::string> DistinctValues(std::size_t n, std::size_t size) {
+  std::vector<std::string> values;
+  for (std::size_t i = 0; i < n; ++i) {
+    values.emplace_back(size, static_cast<char>('a' + i % 26));
+  }
+  return values;
+}
+
+std::string GoldenWrites(const std::vector<std::string>& values,
+                         std::uint64_t first_id) {
+  std::string golden;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    golden += FramePrefix(
+        EncodeMessage(MakeWrite(first_id + i, 0, i, values[i])));
+  }
+  return golden;
+}
+
 TEST(CompactWire, DropsSentPrefixAndDetachesFromValueStorage) {
-  // Queue two write frames, pretend the kernel accepted the first frame
-  // and part of the second, then compact: the unsent remainder must be
-  // byte-identical, live entirely in the arena (one chunk, head/off
-  // rewound), and no longer reference the caller's value storage — so
-  // the values (and any zombies) can be freed mid-queue.
-  Arena arena;
-  std::vector<WireChunk> wire;
-  std::string v1(512, 'a');
-  std::string v2(512, 'b');
-  FrameWriter w(&arena, &wire);
-  w.BeginFrame();
-  AppendPayload(w, MsgType::kWriteReq, 1, RegisterId{0, 0}, v1);
-  w.EndFrame();
-  w.BeginFrame();
-  AppendPayload(w, MsgType::kWriteReq, 2, RegisterId{0, 1}, v2);
-  w.EndFrame();
-  const std::string all = Flatten(wire);
-
-  // Frame 1 is 3 chunks (header run, value, trailing header run of
-  // frame 2's begin may merge — compute the split by bytes instead):
-  // mark 2 whole chunks + 10 bytes of the third as sent.
-  ASSERT_GE(wire.size(), 3u);
-  std::size_t head = 2;
-  std::size_t off = 10;
-  std::size_t sent_bytes = wire[0].len + wire[1].len + off;
-  const std::string expect_rest = all.substr(sent_bytes);
-
-  std::string scratch;
-  CompactWire(&wire, &head, &off, &arena, &scratch);
-  EXPECT_EQ(head, 0u);
-  EXPECT_EQ(off, 0u);
-  ASSERT_EQ(wire.size(), 1u);
-  EXPECT_EQ(Flatten(wire), expect_rest);
-  EXPECT_FALSE(AnyChunkAliases(wire, v1));
-  EXPECT_FALSE(AnyChunkAliases(wire, v2));
-  // The values may now die; the compacted bytes must not change.
-  v1.assign(512, 'X');
-  v2.clear();
-  v2.shrink_to_fit();
-  EXPECT_EQ(Flatten(wire), expect_rest);
+  // Queue write frames whose values are referenced in place, let the
+  // kernel take part of them, then compact: the unsent remainder must
+  // live in the connection's own arena, so the values may change or die
+  // mid-queue and the peer still receives the original stream.
+  ConnPair pair;
+  std::vector<std::string> values = DistinctValues(64, 4096);
+  const std::string golden = GoldenWrites(values, 1);
+  pair.QueueWrites(values, 1);
+  ASSERT_EQ(pair.conn.Flush(), FramedConn::Io::kParked);
+  EXPECT_TRUE(pair.conn.want_write());
+  pair.conn.Compact();
+  EXPECT_TRUE(pair.conn.busy());
+  for (std::string& v : values) v.assign(v.size(), 'X');
+  values.clear();
+  values.shrink_to_fit();
+  EXPECT_EQ(pair.FlushAll(), golden);
+  EXPECT_FALSE(pair.conn.busy());
+  EXPECT_FALSE(pair.conn.want_write());
 }
 
 TEST(CompactWire, FullySentQueueCompactsToEmpty) {
-  Arena arena;
-  std::vector<WireChunk> wire;
-  FrameWriter w(&arena, &wire);
-  w.BeginFrame();
-  AppendPayload(w, MsgType::kReadReq, 1, RegisterId{0, 0}, {});
-  w.EndFrame();
-  std::size_t head = wire.size();
-  std::size_t off = 0;
-  std::string scratch;
-  CompactWire(&wire, &head, &off, &arena, &scratch);
-  EXPECT_TRUE(wire.empty());
-  EXPECT_EQ(head, 0u);
-  EXPECT_EQ(off, 0u);
+  ConnPair pair;
+  {
+    FrameWriter w = pair.conn.Writer();
+    w.BeginFrame();
+    AppendPayload(w, MsgType::kReadReq, 1, RegisterId{0, 0}, {});
+    w.EndFrame();
+  }
+  ASSERT_EQ(pair.conn.Flush(), FramedConn::Io::kDrained);
+  EXPECT_EQ(pair.ReadPeer(), FramePrefix(EncodeMessage(MakeRead(1, 0, 0))));
+  // Nothing is left to compact, and nothing is sent twice.
+  pair.conn.Compact();
+  EXPECT_FALSE(pair.conn.busy());
+  EXPECT_EQ(pair.conn.Flush(), FramedConn::Io::kDrained);
+  EXPECT_EQ(pair.ReadPeer(), "");
 }
 
 TEST(CompactWire, CompactedQueueKeepsFramingAfterMoreAppends) {
@@ -664,46 +716,28 @@ TEST(CompactWire, CompactedQueueKeepsFramingAfterMoreAppends) {
   // compact, frame more. The new frames append after the compacted
   // chunk and the whole stream stays byte-identical to an uncompacted
   // encode.
-  Arena arena;
-  std::vector<WireChunk> wire;
-  const std::string v1(64, 'p');
-  const std::string v2(64, 'q');
-  {
-    FrameWriter w(&arena, &wire);
-    w.BeginFrame();
-    AppendPayload(w, MsgType::kWriteReq, 1, RegisterId{0, 0}, v1);
-    w.EndFrame();
-  }
-  const std::string f1 = Flatten(wire);
-  std::size_t head = 0;
-  std::size_t off = 7;  // mid-length-prefix partial send
-  std::string scratch;
-  CompactWire(&wire, &head, &off, &arena, &scratch);
-  {
-    FrameWriter w(&arena, &wire);
-    w.BeginFrame();
-    AppendPayload(w, MsgType::kWriteReq, 2, RegisterId{0, 1}, v2);
-    w.EndFrame();
-  }
-  const std::string f2 =
-      FramePrefix(EncodeMessage(MakeWrite(2, 0, 1, v2)));
-  EXPECT_EQ(Flatten(wire), f1.substr(7) + f2);
+  ConnPair pair;
+  const std::vector<std::string> first = DistinctValues(64, 4096);
+  const std::vector<std::string> more = DistinctValues(4, 64);
+  pair.QueueWrites(first, 1);
+  ASSERT_EQ(pair.conn.Flush(), FramedConn::Io::kParked);
+  pair.conn.Compact();
+  pair.QueueWrites(more, 100);
+  EXPECT_EQ(pair.FlushAll(), GoldenWrites(first, 1) + GoldenWrites(more, 100));
 }
 
-TEST(Protocol, EncodedMessageSizeMatchesEncodeMessage) {
-  std::vector<Message> cases;
-  cases.push_back(MakeRead(1, 0, 2));
-  cases.push_back(MakeWrite(2, 1, 3, "value bytes"));
-  Message stats;
-  stats.type = MsgType::kStatsResp;
-  stats.request_id = 9;
-  stats.value = "text";
-  cases.push_back(stats);
-  cases.push_back(Message{});
-  for (const Message& m : cases) {
-    EXPECT_EQ(EncodedMessageSize(m), EncodeMessage(m).size())
-        << "type " << static_cast<int>(m.type);
-  }
+TEST(CompactWire, KeptAliveValueOutlivesItsOwner) {
+  // A value whose owner lets go while its bytes are still queued (an
+  // expired or answered write) is parked until the queue drains.
+  ConnPair pair;
+  std::vector<std::string> values = DistinctValues(64, 4096);
+  const std::string golden = GoldenWrites(values, 1);
+  pair.QueueWrites(values, 1);
+  ASSERT_EQ(pair.conn.Flush(), FramedConn::Io::kParked);
+  for (std::string& v : values) pair.conn.KeepAlive(std::move(v));
+  values.clear();
+  values.shrink_to_fit();
+  EXPECT_EQ(pair.FlushAll(), golden);
 }
 
 }  // namespace
