@@ -73,6 +73,12 @@ void PutFragment(Encoder& e, const CodedFragment& f) {
   e.PutBytes(f.bytes);
 }
 
+void PutTagOnlyCommit(Encoder& e, const CodedTag& tag) {
+  e.PutU8(kCommitMagic);
+  e.PutU8(0);  // no fragment
+  PutTag(e, tag);
+}
+
 /// Parses one fragment; with `copy_bytes` false the payload is checked
 /// and skipped but not copied (f.bytes stays empty).
 Expected<CodedFragment> GetFragment(Decoder& d, bool copy_bytes = true) {
@@ -219,9 +225,7 @@ std::string EncodeCodedPut(const CodedFragment& frag) {
 std::string EncodeCodedCommit(const CodedTag& tag) {
   std::string out;
   Encoder e(&out);
-  e.PutU8(kCommitMagic);
-  e.PutU8(0);  // no fragment
-  PutTag(e, tag);
+  PutTagOnlyCommit(e, tag);
   return out;
 }
 
@@ -288,7 +292,9 @@ bool CodedDeltaSubsumes(std::string_view later, std::string_view earlier) {
          e_tag <= l->tag;
 }
 
-Value MergeCodedCell(const Value& current, std::string_view delta) {
+Value MergeCodedCell(const Value& current, std::string_view delta,
+                     std::string* journal) {
+  if (journal != nullptr) journal->clear();
   // Total on corrupt input: a cell that no longer decodes (disk
   // corruption) resets to empty rather than wedging the register forever;
   // a delta that does not decode is a no-op.
@@ -303,6 +309,14 @@ Value MergeCodedCell(const Value& current, std::string_view delta) {
       }
       break;
     case CodedDelta::Kind::kCommit:
+      if (journal != nullptr && d->has_frag &&
+          std::find(cell.frags.begin(), cell.frags.end(), d->frag) !=
+              cell.frags.end()) {
+        // The cell already holds the carried fragment, so re-installing
+        // it changes nothing: the tag-only commit merges to the same cell.
+        Encoder e(journal);
+        PutTagOnlyCommit(e, d->tag);
+      }
       cell.committed = std::max(cell.committed, d->tag);
       // Re-install the carried fragment: the commit itself guarantees
       // its tag is decodable at this disk even when the pending cap

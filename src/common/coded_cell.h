@@ -110,7 +110,8 @@ std::string EncodeCodedCell(const CodedCell& cell);
 std::string EncodeCodedPut(const CodedFragment& frag);
 /// Tag-only commit: raises the committed tag without touching fragments.
 /// The protocol never sends these (its commits always carry a fragment,
-/// see below) — kept for tests and as the decode target of short deltas.
+/// see below); a durable disk journals one in place of a commit whose
+/// fragment it already held (MergeCodedCell's `journal`).
 std::string EncodeCodedCommit(const CodedTag& tag);
 /// Commit carrying the destination disk's fragment of `frag.tag`. The
 /// merge re-installs the fragment alongside raising the committed tag, so
@@ -135,6 +136,16 @@ bool CodedDeltaSubsumes(std::string_view later, std::string_view earlier);
 /// The cell join applied at a disk's linearization point:
 /// decode(current) ⊔ delta, re-encoded. Total on corrupt input (see the
 /// file comment); the only mutation path for coded cells on every backend.
-Value MergeCodedCell(const Value& current, std::string_view delta);
+///
+/// `journal`, when set, receives what a durable disk journals so that
+/// replaying this merge over the same `current` rebuilds the same cell:
+/// it is left empty when that is `delta` itself, and holds the tag-only
+/// EncodeCodedCommit(tag) when `delta` is a fragment-carrying Commit whose
+/// fragment `current` already holds (operator==), the usual case, since
+/// the tag's Put installed it. From that pre-state both deltas raise the
+/// committed tag alike, keep the same fragment and prune the same tags.
+/// Its capacity is reused, so a disk that keeps one buffer allocates once.
+Value MergeCodedCell(const Value& current, std::string_view delta,
+                     std::string* journal = nullptr);
 
 }  // namespace nadreg

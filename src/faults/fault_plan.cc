@@ -112,31 +112,39 @@ const char* FaultKindName(FaultKind k) {
 }
 
 std::string FaultEvent::ToLine() const {
-  std::string out = "at " + FormatDuration(at) + " ";
+  // Built with += only: `"literal" + std::string&&` trips GCC's -O3
+  // -Wrestrict false positive.
+  std::string out = "at ";
+  out += FormatDuration(at);
+  out += ' ';
   out += FaultKindName(kind);
+  const auto field = [&out](const std::string& s) {
+    out += ' ';
+    out += s;
+  };
+  const DiskId first = disks.empty() ? 0 : disks[0];
   switch (kind) {
     case FaultKind::kCrashRegister:
-      out += " " + FormatRegisterToken(
-                       RegisterId{disks.empty() ? 0 : disks[0], block});
+      field(FormatRegisterToken(RegisterId{first, block}));
       break;
     case FaultKind::kDelay:
-      out += " " + std::to_string(disks.empty() ? 0 : disks[0]) + " " +
-             FormatDuration(std::chrono::microseconds(min_delay_us)) + " " +
-             FormatDuration(std::chrono::microseconds(max_delay_us));
+      field(std::to_string(first));
+      field(FormatDuration(std::chrono::microseconds(min_delay_us)));
+      field(FormatDuration(std::chrono::microseconds(max_delay_us)));
       break;
     case FaultKind::kDrop:
-      out += " " + std::to_string(disks.empty() ? 0 : disks[0]) + " " +
-             std::to_string(permille);
+      field(std::to_string(first));
+      field(std::to_string(permille));
       break;
     case FaultKind::kStall:
-      out += " " + std::to_string(disks.empty() ? 0 : disks[0]) + " " +
-             FormatDuration(stall);
+      field(std::to_string(first));
+      field(FormatDuration(stall));
       break;
     case FaultKind::kCrashDisk:
     case FaultKind::kDisconnect:
     case FaultKind::kPartition:
     case FaultKind::kHeal:
-      for (DiskId d : disks) out += " " + std::to_string(d);
+      for (DiskId d : disks) field(std::to_string(d));
       break;
   }
   return out;

@@ -1,27 +1,47 @@
 #include "nad/persistence.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 
 #include "common/codec.h"
+#include "common/coded_cell.h"
 
 namespace nadreg::nad {
 
 namespace {
 
-std::string EncodeRecord(const RegisterId& r, std::string_view v) {
-  std::string out;
-  Encoder e(&out);
-  e.PutU32(r.disk);
-  e.PutU64(r.block);
-  e.PutBytes(v);
-  return out;
+/// u8 kind, u32 disk, u64 block, u32 payload length.
+constexpr std::size_t kRecordHeaderBytes = 1 + 4 + 8 + 4;
+
+void StoreLe(char* out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
 }
 
-/// Reads the whole file and applies complete records to the store.
-/// Returns records applied; a torn trailing record is discarded.
+/// Fills `out` with the header of a record whose payload follows it.
+void EncodeRecordHeader(RecordKind kind, const RegisterId& r,
+                        std::size_t payload_size,
+                        char (&out)[kRecordHeaderBytes]) {
+  out[0] = static_cast<char>(kind);
+  StoreLe(out + 1, r.disk, 4);
+  StoreLe(out + 5, r.block, 8);
+  StoreLe(out + 13, payload_size, 4);
+}
+
+/// Reads the whole file and applies its complete records to the store.
+/// Returns records applied; a torn trailing record is discarded, and with
+/// `cut_torn_tail` also truncated off the file.
 Expected<std::size_t> ReplayFile(const std::string& path,
-                                 sim::RegisterStore* store) {
+                                 sim::RegisterStore* store,
+                                 bool cut_torn_tail) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::size_t{0};  // missing file: fresh state
   std::string contents;
@@ -36,15 +56,34 @@ Expected<std::size_t> ReplayFile(const std::string& path,
 
   Decoder d(contents);
   std::size_t applied = 0;
+  std::size_t whole = 0;  // bytes of complete records
   while (!d.AtEnd()) {
+    auto kind = d.GetU8();
+    if (!kind) break;  // torn tail
     auto disk = d.GetU32();
-    if (!disk) break;  // torn tail
+    if (!disk) break;
     auto block = d.GetU64();
     if (!block) break;
-    auto value = d.GetBytes();
-    if (!value) break;
-    store->Apply(RegisterId{*disk, *block}, std::move(*value));
+    auto payload = d.GetBytesView();
+    if (!payload) break;
+    const RegisterId reg{*disk, *block};
+    switch (static_cast<RecordKind>(*kind)) {
+      case RecordKind::kValue:
+        store->Apply(reg, Value(*payload));
+        break;
+      case RecordKind::kCodedDelta:
+        store->Apply(reg, MergeCodedCell(store->Get(reg), *payload));
+        break;
+      default:
+        return Status::Invalid("unknown record kind in " + path);
+    }
+    whole = contents.size() - d.Remaining();
     ++applied;
+  }
+  if (cut_torn_tail && whole < contents.size()) {
+    std::error_code ec;
+    std::filesystem::resize_file(path, whole, ec);
+    if (ec) return Status::Unavailable("cannot cut torn tail: " + path);
   }
   return applied;
 }
@@ -52,47 +91,58 @@ Expected<std::size_t> ReplayFile(const std::string& path,
 }  // namespace
 
 Journal::~Journal() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status Journal::Open(const std::string& path) {
-  path_ = path;
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr) {
+  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  struct stat st {};
+  if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
     return Status::Unavailable("cannot open journal: " + path);
   }
+  end_ = st.st_size;
   return Status::Ok();
 }
 
-Status Journal::Append(const RegisterId& r, std::string_view v) {
-  if (file_ == nullptr) return Status::Unavailable("journal not open");
-  const std::string record = EncodeRecord(r, v);
-  if (std::fwrite(record.data(), 1, record.size(), file_) != record.size()) {
-    return Status::Unavailable("journal append failed");
+Status Journal::Append(const RegisterId& r, std::string_view payload,
+                       RecordKind kind) {
+  // hot-path-begin(journal-append)
+  if (fd_ < 0 || broken_) return Status::Unavailable("journal not writable");
+  if (payload.size() > UINT32_MAX) return Status::Invalid("record too large");
+  char header[kRecordHeaderBytes];
+  EncodeRecordHeader(kind, r, payload.size(), header);
+  iovec iov[2] = {{header, sizeof(header)},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  const auto total = static_cast<ssize_t>(sizeof(header) + payload.size());
+  ssize_t n = 0;
+  do {
+    n = ::writev(fd_, iov, 2);
+  } while (n < 0 && errno == EINTR);
+  if (n == total) {
+    end_ += total;
+    return Status::Ok();
   }
-  if (std::fflush(file_) != 0) {
-    return Status::Unavailable("journal flush failed");
-  }
-  return Status::Ok();
+  // Some of the record may have reached the file: cut it back off, or
+  // replay would stop at it and lose every record appended after it.
+  if (::ftruncate(fd_, end_) != 0) broken_ = true;
+  return Status::Unavailable("journal append failed");
+  // hot-path-end
 }
 
 Status Journal::Reset() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
+  if (fd_ < 0 || ::ftruncate(fd_, 0) != 0) {
+    return Status::Unavailable("cannot truncate journal");
   }
-  file_ = std::fopen(path_.c_str(), "wb");  // truncate
-  if (file_ == nullptr) {
-    return Status::Unavailable("cannot truncate journal: " + path_);
-  }
+  end_ = 0;
+  broken_ = false;
   return Status::Ok();
 }
 
 Expected<std::size_t> RecoverState(const std::string& base_path,
                                    sim::RegisterStore* store) {
-  auto snap = ReplayFile(base_path + ".snap", store);
+  auto snap = ReplayFile(base_path + ".snap", store, /*cut_torn_tail=*/false);
   if (!snap.ok()) return snap.status();
-  auto log = ReplayFile(base_path + ".log", store);
+  auto log = ReplayFile(base_path + ".log", store, /*cut_torn_tail=*/true);
   if (!log.ok()) return log.status();
   return *snap + *log;
 }
@@ -104,8 +154,10 @@ Status WriteCheckpoint(const std::string& base_path,
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return Status::Unavailable("cannot open " + tmp);
   for (const auto& [reg, value] : store.Values()) {
-    const std::string record = EncodeRecord(reg, value);
-    if (std::fwrite(record.data(), 1, record.size(), f) != record.size()) {
+    char header[kRecordHeaderBytes];
+    EncodeRecordHeader(RecordKind::kValue, reg, value.size(), header);
+    if (std::fwrite(header, 1, sizeof(header), f) != sizeof(header) ||
+        std::fwrite(value.data(), 1, value.size(), f) != value.size()) {
       std::fclose(f);
       return Status::Unavailable("checkpoint write failed");
     }

@@ -333,14 +333,21 @@ bool NadServer::ServeOpView(const MessageView& msg, FrameWriter* w) {
     // Write-ahead: a write is journaled before it is applied and
     // acknowledged, so a restart never forgets an acknowledged write.
     // The value (or merge delta) is a view into the receive buffer the
-    // whole way down. A merge journals the POST-merge cell, so replay is
-    // a plain Apply.
+    // whole way down. A merge journals its delta, or the tag-only commit
+    // the merge reports in its place, and replay re-runs the merge.
     const bool write = msg.type == MsgType::kWriteReq;
     Value merged;
-    if (!write) merged = MergeCodedCell(store_.Get(msg.reg), msg.value);
-    const std::string_view v = write ? msg.value : std::string_view(merged);
+    if (!write) {
+      merged = MergeCodedCell(store_.Get(msg.reg), msg.value,
+                              journal_.IsOpen() ? &tag_only_ : nullptr);
+    }
     if (journal_.IsOpen()) {
-      if (Status s = journal_.Append(msg.reg, v); !s.ok()) {
+      const Status s =
+          write ? journal_.Append(msg.reg, msg.value)
+                : journal_.Append(
+                      msg.reg, tag_only_.empty() ? msg.value : tag_only_,
+                      RecordKind::kCodedDelta);
+      if (!s.ok()) {
         LOG_ERROR << "nad-server: journal append failed: " << s.ToString()
                   << "; dropping request";
         return false;  // unresponsive, like a failing disk
@@ -349,8 +356,8 @@ bool NadServer::ServeOpView(const MessageView& msg, FrameWriter* w) {
     if (write) {
       // Assigned into the register's existing string capacity: the one
       // write-path copy.
-      store_.Assign(msg.reg, v);
-      hotpath::CountCopy(v.size());
+      store_.Assign(msg.reg, msg.value);
+      hotpath::CountCopy(msg.value.size());
       writes_served_->Inc();
     } else {
       store_.Apply(msg.reg, std::move(merged));

@@ -52,7 +52,8 @@
 /// end. Frames are decoded into MessageViews over the connection's
 /// receive buffer and answered through a FrameWriter into the
 /// connection's queue arena, gathered out with one sendmsg — write values are journaled and
-/// applied straight from the receive buffer; a read's value is copied
+/// applied straight from the receive buffer, as merge deltas are
+/// journaled; a read's value is copied
 /// exactly once, out of the store into the response arena. The arena and
 /// the chunk list reset per burst; a burst ends early once its responses
 /// reach about kMaxFrameBytes, which bounds the arena.
@@ -62,6 +63,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -178,6 +180,9 @@ class NadServer : public faults::FaultSink, private EventLoop::IoWatcher {
   std::unique_ptr<Listener> listener_;
   sim::RegisterStore store_;
   Journal journal_;
+  /// The tag-only commit a merge journals in place of its delta (see
+  /// MergeCodedCell); empty when the delta itself is journaled.
+  std::string tag_only_;
   Rng rng_;
   std::vector<std::unique_ptr<Conn>> conns_;
   /// Closed this iteration; the epoll batch may still name them.

@@ -374,6 +374,41 @@ TEST(CodedCell, CommitReinstallsEvictedFragment) {
   EXPECT_EQ(committed->frags.front().bytes, "mine");
 }
 
+TEST(CodedCell, RedundantCommitJournalsTagOnlyAndMergesAlike) {
+  // A durable disk journals the tag-only commit in place of a commit
+  // whose fragment the cell already holds; replaying either delta over
+  // the same pre-state must rebuild the same cell.
+  const CodedFragment mine = MakeFrag(1, 1, 0, "mine");
+  const std::string carried = EncodeCodedCommit(mine);
+  Value pre = MergeCodedCell("", EncodeCodedPut(mine));
+  pre = MergeCodedCell(pre, EncodeCodedPut(MakeFrag(2, 2, 0, "next")));
+
+  std::string journal;
+  const Value merged = MergeCodedCell(pre, carried, &journal);
+  EXPECT_EQ(merged, MergeCodedCell(pre, carried));
+  EXPECT_EQ(journal, EncodeCodedCommit(mine.tag));
+  EXPECT_EQ(MergeCodedCell(pre, journal), merged);
+  // A replayed commit (already committed here) is redundant as well.
+  EXPECT_EQ(MergeCodedCell(merged, carried, &journal), merged);
+  EXPECT_EQ(MergeCodedCell(merged, journal), merged);
+
+  // Not redundant: the delta itself is journaled (`journal` left empty).
+  CodedFragment other_bytes = mine;
+  other_bytes.bytes = "MINE";
+  MergeCodedCell(pre, EncodeCodedCommit(other_bytes), &journal);
+  EXPECT_TRUE(journal.empty());  // same tag, a different fragment
+  MergeCodedCell(pre, EncodeCodedPut(mine), &journal);
+  EXPECT_TRUE(journal.empty());  // a Put
+  Value evicted = pre;
+  for (SeqNum s = 3; s <= 2 + CodedCell::kMaxPendingTags; ++s) {
+    evicted = MergeCodedCell(evicted, EncodeCodedPut(MakeFrag(s, 7, 0, "x")));
+  }
+  MergeCodedCell(evicted, carried, &journal);
+  EXPECT_TRUE(journal.empty());  // the pending cap evicted tag 1
+  EXPECT_NE(MergeCodedCell(evicted, EncodeCodedCommit(mine.tag)),
+            MergeCodedCell(evicted, carried));
+}
+
 TEST(CodedCell, StaleFragmentCarryingCommitDoesNotResurrect) {
   // A commit below the cell's committed tag must neither lower it nor
   // re-install its (pruned) fragment.
