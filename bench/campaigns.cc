@@ -221,8 +221,10 @@ CampaignResult VerifyMwmrAtomic(const CampaignOptions& opts, int writers,
         threads.emplace_back([&, w] {
           core::MwmrAtomic reg(farm, cfg, 1, static_cast<ProcessId>(w + 1));
           for (int i = 0; i < opts.ops_per_process; ++i) {
-            const std::string v =
-                "w" + std::to_string(w + 1) + "." + std::to_string(i);
+            std::string v = "w";
+            v += std::to_string(w + 1);
+            v += ".";
+            v += std::to_string(i);
             auto h = rec.BeginWrite(static_cast<ProcessId>(w + 1), v);
             reg.Write(v);
             rec.EndWrite(h);

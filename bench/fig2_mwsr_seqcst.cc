@@ -53,7 +53,11 @@ Row RunConfig(std::uint32_t t, int writers, int ops_per_writer) {
       threads.emplace_back([&, w] {
         core::MwsrWriter writer(farm, cfg, regs, static_cast<ProcessId>(w + 1));
         for (int i = 0; i < ops_per_writer; ++i) {
-          writer.Write("w" + std::to_string(w) + "." + std::to_string(i));
+          std::string v = "w";
+          v += std::to_string(w);
+          v += ".";
+          v += std::to_string(i);
+          writer.Write(v);
         }
       });
     }

@@ -54,7 +54,9 @@ int main() {
     std::uint64_t prev = 0;
     for (int k = 1; k <= 24; ++k) {
       core::MwmrAtomic fresh(farm, cfg, 1, static_cast<ProcessId>(k));
-      fresh.Write("v" + std::to_string(k));
+      std::string v = "v";
+      v += std::to_string(k);
+      fresh.Write(v);
       const std::uint64_t now = farm.stats().TotalIssued();
       costs.push_back(static_cast<double>(now - prev));
       prev = now;
@@ -80,7 +82,9 @@ int main() {
     core::MwmrAtomic writer(farm, cfg, 1, 1);
     std::uint64_t prev = 0;
     for (int i = 1; i <= 24; ++i) {
-      writer.Write("v" + std::to_string(i));
+      std::string v = "v";
+      v += std::to_string(i);
+      writer.Write(v);
       const std::uint64_t now = farm.stats().TotalIssued();
       if (i % 8 == 0 || i == 1) {
         std::printf("  %-10d %-26llu\n", i,
@@ -102,7 +106,9 @@ int main() {
     core::MwmrAtomic writer(farm, cfg, 1, 1);
     core::MwmrAtomic reader(farm, cfg, 1, 2);
     for (int i = 0; i < 8; ++i) {
-      writer.Write("v" + std::to_string(i));
+      std::string v = "v";
+      v += std::to_string(i);
+      writer.Write(v);
       reader.Read();
     }
     totals.push_back(farm.stats().TotalIssued());

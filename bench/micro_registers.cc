@@ -128,7 +128,11 @@ void BM_MwmrWrite(benchmark::State& state) {
   SimFarm farm(ZeroDelay());
   core::MwmrAtomic reg(farm, cfg, 1, 1);
   std::uint64_t i = 0;
-  for (auto _ : state) reg.Write("v" + std::to_string(i++));
+  for (auto _ : state) {
+    std::string v = "v";
+    v += std::to_string(i++);
+    reg.Write(v);
+  }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MwmrWrite)->Iterations(256);
@@ -157,7 +161,9 @@ void BM_CheckAtomic(benchmark::State& state) {
     op.invoke = ++clock;
     if (i % 2 == 0) {
       op.kind = checker::OpKind::kWrite;
-      op.value = "v" + std::to_string(i);
+      std::string v = "v";
+      v += std::to_string(i);
+      op.value = std::move(v);
       value = op.value;
     } else {
       op.kind = checker::OpKind::kRead;

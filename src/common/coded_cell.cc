@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "common/codec.h"
 
@@ -48,6 +53,102 @@ const CrcTables& Crc() {
 std::uint32_t LoadLe32(const unsigned char* p) {
   return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
          std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+}
+
+/// Advances the running (pre-inverted) CRC state `c` over n bytes at p,
+/// eight bytes per step.
+std::uint32_t Crc32Slicing8(std::uint32_t c, const unsigned char* p,
+                            std::size_t n) {
+  const auto& t = Crc().t;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ LoadLe32(p);
+    const std::uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
+  return c;
+}
+
+#if defined(__x86_64__)
+// Carry-less-multiply folding after Gopal et al., "Fast CRC Computation
+// for Generic Polynomials Using PCLMULQDQ" (Intel, 2009), in the
+// bit-reflected domain of 0xEDB88320. Each constant is x^d mod P(x) for
+// the fold distance d, bit-reflected and shifted left by one:
+//   k1, k2  fold a 128-bit lane forward 512 bits (four lanes per step);
+//   k3, k4  fold it forward 128 bits (one lane);
+//   k5      folds the last 64 bits to 32;
+//   P', mu  the polynomial and its Barrett quotient floor(x^64 / P(x)).
+constexpr long long kK1 = 0x154442bd4, kK2 = 0x1c6e41596;
+constexpr long long kK3 = 0x1751997d0, kK4 = 0x0ccaa009e;
+constexpr long long kK5 = 0x163cd6124;
+constexpr long long kPoly = 0x1db710641, kMu = 0x1f7011641;
+
+__m128i LoadBlock(const unsigned char* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Folds lane x forward by the distance the (low, high) constant pair k
+/// encodes and adds the block it lands on.
+__attribute__((target("pclmul,sse4.1"))) __m128i Fold(__m128i x, __m128i k,
+                                                      __m128i block) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       block);
+}
+
+/// Crc32Slicing8's contract on PCLMULQDQ: four lanes fold 64 bytes per
+/// step, reduce to one lane, fold the remaining 16-byte blocks, and a
+/// Barrett reduction yields the 32-bit state. Inputs under 64 bytes and
+/// the final < 16-byte tail go through slicing-by-8.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t Crc32Clmul(
+    std::uint32_t c, const unsigned char* p, std::size_t n) {
+  if (n < 64) return Crc32Slicing8(c, p, n);
+  __m128i x0 = _mm_xor_si128(LoadBlock(p),
+                             _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x1 = LoadBlock(p + 16);
+  __m128i x2 = LoadBlock(p + 32);
+  __m128i x3 = LoadBlock(p + 48);
+  p += 64;
+  n -= 64;
+  const __m128i k1k2 = _mm_set_epi64x(kK2, kK1);
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = Fold(x0, k1k2, LoadBlock(p));
+    x1 = Fold(x1, k1k2, LoadBlock(p + 16));
+    x2 = Fold(x2, k1k2, LoadBlock(p + 32));
+    x3 = Fold(x3, k1k2, LoadBlock(p + 48));
+  }
+  const __m128i k3k4 = _mm_set_epi64x(kK4, kK3);
+  x0 = Fold(Fold(Fold(x0, k3k4, x1), k3k4, x2), k3k4, x3);
+  for (; n >= 16; p += 16, n -= 16) x0 = Fold(x0, k3k4, LoadBlock(p));
+
+  // 128 -> 64 bits: the low half times k4 onto the high half; then the
+  // low 32 bits times k5 onto the remaining 64.
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, k3k4, 0x10));
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, low32),
+                                          _mm_cvtsi64_si128(kK5), 0x00));
+  // Barrett: q = floor(x0 * mu), and x0 - q * P leaves the remainder in
+  // bits 32..63.
+  const __m128i poly_mu = _mm_set_epi64x(kMu, kPoly);
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly_mu, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), poly_mu, 0x00);
+  c = static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, q), 1));
+  return Crc32Slicing8(c, p, n);
+}
+#endif
+
+detail::CrcKernel DetectCrcKernel() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1")) {
+    return detail::CrcKernel::kClmul;
+  }
+#endif
+  return detail::CrcKernel::kSlicing8;
 }
 
 void PutTag(Encoder& e, const CodedTag& t) {
@@ -149,22 +250,37 @@ void Normalize(CodedCell& cell) {
 }  // namespace
 
 std::uint32_t Crc32(std::string_view bytes) {
-  const auto& t = Crc().t;
-  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
-  std::size_t n = bytes.size();
-  std::uint32_t c = 0xffffffffu;
-  for (; n >= 8; p += 8, n -= 8) {
-    const std::uint32_t lo = c ^ LoadLe32(p);
-    const std::uint32_t hi = LoadLe32(p + 4);
-    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
-        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
-        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
-  }
-  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
-  return c ^ 0xffffffffu;
+  return detail::Crc32(detail::ActiveCrcKernel(), bytes);
 }
 
 namespace detail {
+
+std::vector<CrcKernel> AvailableCrcKernels() {
+  std::vector<CrcKernel> out = {CrcKernel::kSlicing8};
+  if (ActiveCrcKernel() == CrcKernel::kClmul) out.push_back(CrcKernel::kClmul);
+  return out;
+}
+
+CrcKernel ActiveCrcKernel() {
+  static const CrcKernel active = DetectCrcKernel();
+  return active;
+}
+
+const char* CrcKernelName(CrcKernel kernel) {
+  return kernel == CrcKernel::kClmul ? "clmul" : "slicing_by_8";
+}
+
+std::uint32_t Crc32(CrcKernel kernel, std::string_view bytes) {
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+#if defined(__x86_64__)
+  if (kernel == CrcKernel::kClmul) {
+    assert(ActiveCrcKernel() == CrcKernel::kClmul && "PCLMUL unavailable");
+    return Crc32Clmul(0xffffffffu, p, bytes.size()) ^ 0xffffffffu;
+  }
+#endif
+  assert(kernel == CrcKernel::kSlicing8 && "kernel unavailable on this CPU");
+  return Crc32Slicing8(0xffffffffu, p, bytes.size()) ^ 0xffffffffu;
+}
 
 std::uint32_t Crc32Bytewise(std::string_view bytes) {
   const auto& table = Crc().t[0];

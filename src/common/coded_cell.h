@@ -93,14 +93,31 @@ struct CodedDelta {
 };
 
 /// CRC-32 (IEEE 802.3: reflected polynomial 0xEDB88320, initial and final
-/// XOR 0xFFFFFFFF) over `bytes`. Computed slicing-by-8: eight table
-/// lookups per eight input bytes, bit-identical to the bytewise loop.
+/// XOR 0xFFFFFFFF) over `bytes`, on detail::ActiveCrcKernel().
 std::uint32_t Crc32(std::string_view bytes);
 
 namespace detail {
-/// The one-table, one-byte-per-step CRC-32: Crc32's oracle in tests and
-/// bench/micro_coded.
+
+/// A CRC-32 kernel. Both produce identical checksums: kSlicing8 makes
+/// eight table lookups per eight input bytes; kClmul folds 64 bytes per
+/// step with carry-less multiplies (x86-64 PCLMULQDQ, DESIGN.md §16
+/// "Kernels"). Crc32 runs on ActiveCrcKernel(), and tests and
+/// bench/micro_coded name each one to check it against Crc32Bytewise.
+enum class CrcKernel : std::uint8_t { kSlicing8, kClmul };
+
+/// The kernels this CPU runs, kSlicing8 first.
+std::vector<CrcKernel> AvailableCrcKernels();
+/// The fastest available kernel (chosen once per process).
+CrcKernel ActiveCrcKernel();
+const char* CrcKernelName(CrcKernel kernel);
+
+/// CRC-32 of `bytes` on `kernel`, which must be available.
+std::uint32_t Crc32(CrcKernel kernel, std::string_view bytes);
+
+/// The one-table, one-byte-per-step CRC-32: the kernels' oracle in tests
+/// and bench/micro_coded.
 std::uint32_t Crc32Bytewise(std::string_view bytes);
+
 }  // namespace detail
 
 std::string EncodeCodedCell(const CodedCell& cell);

@@ -36,51 +36,54 @@ void EncodeRecordHeader(RecordKind kind, const RegisterId& r,
   StoreLe(out + 13, payload_size, 4);
 }
 
-/// Reads the whole file and applies its complete records to the store.
-/// Returns records applied; a torn trailing record is discarded, and with
-/// `cut_torn_tail` also truncated off the file.
+/// Applies the file's complete records to the store one at a time: a
+/// header, then its payload into one reused buffer, so memory follows the
+/// largest record, not the file. Returns records applied; a torn trailing
+/// record is discarded, and with `cut_torn_tail` also truncated off the
+/// file.
 Expected<std::size_t> ReplayFile(const std::string& path,
                                  sim::RegisterStore* store,
                                  bool cut_torn_tail) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::size_t{0};  // missing file: fresh state
-  std::string contents;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    contents.append(buf, n);
+  struct stat st {};
+  if (::fstat(::fileno(f), &st) != 0) {
+    std::fclose(f);
+    return Status::Unavailable("cannot stat: " + path);
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  std::uint64_t whole = 0;  // bytes of complete records
+  std::size_t applied = 0;
+  char header[kRecordHeaderBytes];
+  std::string payload;
+  while (std::fread(header, 1, sizeof(header), f) == sizeof(header)) {
+    Decoder d(std::string_view(header, sizeof(header)));
+    const std::uint8_t kind = *d.GetU8();
+    const RegisterId reg{*d.GetU32(), *d.GetU64()};
+    const std::uint32_t len = *d.GetU32();
+    // A length past the end of the file is a torn tail; checking it
+    // first also keeps a garbled length from sizing the buffer.
+    if (len > size - whole - sizeof(header)) break;
+    payload.resize(len);
+    if (std::fread(payload.data(), 1, len, f) != len) break;
+    switch (static_cast<RecordKind>(kind)) {
+      case RecordKind::kValue:
+        store->Apply(reg, Value(payload));
+        break;
+      case RecordKind::kCodedDelta:
+        store->Apply(reg, MergeCodedCell(store->Get(reg), payload));
+        break;
+      default:
+        std::fclose(f);
+        return Status::Invalid("unknown record kind in " + path);
+    }
+    whole += sizeof(header) + len;
+    ++applied;
   }
   const bool read_error = std::ferror(f) != 0;
   std::fclose(f);
   if (read_error) return Status::Unavailable("read failed: " + path);
-
-  Decoder d(contents);
-  std::size_t applied = 0;
-  std::size_t whole = 0;  // bytes of complete records
-  while (!d.AtEnd()) {
-    auto kind = d.GetU8();
-    if (!kind) break;  // torn tail
-    auto disk = d.GetU32();
-    if (!disk) break;
-    auto block = d.GetU64();
-    if (!block) break;
-    auto payload = d.GetBytesView();
-    if (!payload) break;
-    const RegisterId reg{*disk, *block};
-    switch (static_cast<RecordKind>(*kind)) {
-      case RecordKind::kValue:
-        store->Apply(reg, Value(*payload));
-        break;
-      case RecordKind::kCodedDelta:
-        store->Apply(reg, MergeCodedCell(store->Get(reg), *payload));
-        break;
-      default:
-        return Status::Invalid("unknown record kind in " + path);
-    }
-    whole = contents.size() - d.Remaining();
-    ++applied;
-  }
-  if (cut_torn_tail && whole < contents.size()) {
+  if (cut_torn_tail && whole < size) {
     std::error_code ec;
     std::filesystem::resize_file(path, whole, ec);
     if (ec) return Status::Unavailable("cannot cut torn tail: " + path);

@@ -74,6 +74,7 @@ NadServer::NadServer(Options opts)
       merges_served_(&metrics_.GetCounter("nad.server.merges")),
       dropped_crashed_(&metrics_.GetCounter("nad.server.dropped_crashed")),
       dropped_faulted_(&metrics_.GetCounter("nad.server.dropped_faulted")),
+      journal_failures_(&metrics_.GetCounter("nad.server.journal_failures")),
       read_serve_us_(&metrics_.GetHistogram("nad.server.read_serve_us")),
       write_serve_us_(&metrics_.GetHistogram("nad.server.write_serve_us")),
       batch_size_(&metrics_.GetHistogram("nad.server.batch_size")) {}
@@ -348,6 +349,7 @@ bool NadServer::ServeOpView(const MessageView& msg, FrameWriter* w) {
                       msg.reg, tag_only_.empty() ? msg.value : tag_only_,
                       RecordKind::kCodedDelta);
       if (!s.ok()) {
+        journal_failures_->Inc();
         LOG_ERROR << "nad-server: journal append failed: " << s.ToString()
                   << "; dropping request";
         return false;  // unresponsive, like a failing disk

@@ -12,7 +12,9 @@
 /// and every connection are IoWatchers on it, and the loop owns all
 /// daemon state — the RegisterStore, the journal, the fault state, every
 /// connection buffer — so none of it is locked. A write is journaled and
-/// then applied inline, which makes write-ahead order hold trivially.
+/// then applied inline, which makes write-ahead order hold trivially. A
+/// write whose journal append fails is dropped unanswered, like a failing
+/// disk's, and counted in "nad.server.journal_failures".
 ///
 /// Bursts: every frame carries one operation (protocol.h), and batching
 /// is a syscall property. Each connection moves its bytes through a
@@ -204,6 +206,7 @@ class NadServer : public faults::FaultSink, private EventLoop::IoWatcher {
   obs::Counter* merges_served_;
   obs::Counter* dropped_crashed_;
   obs::Counter* dropped_faulted_;
+  obs::Counter* journal_failures_;  // requests dropped: append failed
   obs::Histogram* read_serve_us_;
   obs::Histogram* write_serve_us_;
   obs::Histogram* batch_size_;

@@ -156,7 +156,7 @@ TEST(PendingTable, EntryAddressesStableAcrossGrowth) {
     early.push_back(p);
   }
   // Force many slab allocations and index rehashes.
-  for (std::uint64_t id = 100; id < 5000; ++id) *table.Insert(id) = "x";
+  for (std::uint64_t id = 100; id < 5000; ++id) *table.Insert(id) += "x";
   for (std::uint64_t id = 0; id < 100; ++id) {
     EXPECT_EQ(table.Find(id), early[id]) << id;          // same address
     EXPECT_EQ(*early[id], "entry-" + std::to_string(id));  // same bytes
@@ -190,7 +190,7 @@ TEST(PendingTable, ForEachAndEraseIf) {
 
 TEST(PendingTable, ClearEmptiesButKeepsWorking) {
   PendingTable<std::string> table;
-  for (std::uint64_t id = 0; id < 1000; ++id) *table.Insert(id) = "v";
+  for (std::uint64_t id = 0; id < 1000; ++id) *table.Insert(id) += "v";
   table.Clear();
   EXPECT_TRUE(table.empty());
   for (std::uint64_t id = 0; id < 1000; ++id) {

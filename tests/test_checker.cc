@@ -276,7 +276,9 @@ TEST(CheckRegular, AtomicHistoriesAreAlwaysRegular) {
       const std::uint64_t inv = ++clock;
       const std::uint64_t res = ++clock;
       if (rng.Chance(1, 2)) {
-        value = "v" + std::to_string(++wcount);
+        value.clear();
+        value += "v";
+        value += std::to_string(++wcount);
         h.W(1, value, inv, res);
       } else {
         h.R(2 + rng.Below(2), value, inv, res);
@@ -308,7 +310,9 @@ TEST_P(CheckerRandom, SequentialExecutionsAlwaysPass) {
       op.invoke = ++clock;
       if (rng.Chance(1, 2)) {
         op.kind = OpKind::kWrite;
-        op.value = "v" + std::to_string(++wcount);
+        op.value.clear();
+        op.value += "v";
+        op.value += std::to_string(++wcount);
         value = op.value;
       } else {
         op.kind = OpKind::kRead;
@@ -344,7 +348,8 @@ TEST(CheckAtomic, HandlesWiderConcurrencyEfficiently) {
   std::uint64_t clock = 0;
   std::string last;
   for (int round = 0; round < 10; ++round) {
-    std::string v = "v" + std::to_string(round);
+    std::string v = "v";
+    v += std::to_string(round);
     for (ProcessId p = 0; p < 3; ++p) {
       Operation w;
       w.id = ops.size();

@@ -151,7 +151,9 @@ TEST(DiskPaxos, AgreementUnderCrashAndConcurrency) {
       threads.emplace_back([&, p] {
         DiskPaxos paxos(farm, cfg, 1, 3, p);
         Rng rng(500 + p);
-        std::string v = paxos.Propose("v" + std::to_string(p), rng);
+        std::string proposal = "v";
+        proposal += std::to_string(p);
+        std::string v = paxos.Propose(proposal, rng);
         MutexLock lock(mu);
         decisions.push_back(std::move(v));
       });

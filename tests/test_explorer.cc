@@ -40,8 +40,10 @@ ScheduleExplorer::RunFactory SwsrScenario(int writes, int reads) {
     scenario->Spawn([&farm, rec, cfg, regs, writes] {
       core::SwsrAtomicWriter writer(farm, cfg, regs, 1);
       for (int i = 1; i <= writes; ++i) {
-        auto h = rec->BeginWrite(1, "v" + std::to_string(i));
-        writer.Write("v" + std::to_string(i));
+        std::string v = "v";
+        v += std::to_string(i);
+        auto h = rec->BeginWrite(1, v);
+        writer.Write(v);
         rec->EndWrite(h);
       }
     });
@@ -77,8 +79,10 @@ ScheduleExplorer::RunFactory SwsrFaultScenario(int writes, int reads) {
     scenario->Spawn([&farm, rec, cfg, regs, writes] {
       core::SwsrAtomicWriter writer(farm, cfg, regs, 1);
       for (int i = 1; i <= writes; ++i) {
-        auto h = rec->BeginWrite(1, "v" + std::to_string(i));
-        if (!writer.Write("v" + std::to_string(i), OpOptions{}).ok()) return;
+        std::string v = "v";
+        v += std::to_string(i);
+        auto h = rec->BeginWrite(1, v);
+        if (!writer.Write(v, OpOptions{}).ok()) return;
         rec->EndWrite(h);
       }
     });

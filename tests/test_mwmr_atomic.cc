@@ -230,7 +230,11 @@ TEST(MwmrAtomic, InterleavedWritersReadersSequential) {
   for (int round = 0; round < 3; ++round) {
     for (ProcessId p = 1; p <= 3; ++p) {
       MwmrAtomic reg(farm, cfg, 1, p * 100 + round);
-      last = "r" + std::to_string(round) + "p" + std::to_string(p);
+      last.clear();
+      last += "r";
+      last += std::to_string(round);
+      last += "p";
+      last += std::to_string(p);
       reg.Write(last);
       auto v = MwmrAtomic(farm, cfg, 1, 999).Read();
       ASSERT_TRUE(v.has_value());
@@ -266,8 +270,10 @@ TEST_P(MwmrAtomicSweep, ConcurrentHistoriesAreLinearizable) {
     threads.emplace_back([&, w] {
       MwmrAtomic reg(farm, cfg, 1, static_cast<ProcessId>(w + 1));
       for (int i = 0; i < param.ops_per_process; ++i) {
-        const std::string v =
-            "w" + std::to_string(w + 1) + "." + std::to_string(i);
+        std::string v = "w";
+        v += std::to_string(w + 1);
+        v += ".";
+        v += std::to_string(i);
         auto h = history.BeginWrite(static_cast<ProcessId>(w + 1), v);
         reg.Write(v);
         history.EndWrite(h);

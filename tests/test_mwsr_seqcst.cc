@@ -44,8 +44,10 @@ TEST(MwsrSeqCst, SingleWriterBehavesLikeRegister) {
   MwsrWriter writer(farm, rig.farm_cfg, rig.regs, 1);
   MwsrReader reader(farm, rig.farm_cfg, rig.regs, kReaderId);
   for (int i = 0; i < 20; ++i) {
-    writer.Write("v" + std::to_string(i));
-    EXPECT_EQ(reader.Read(), "v" + std::to_string(i));
+    std::string v = "v";
+    v += std::to_string(i);
+    writer.Write(v);
+    EXPECT_EQ(reader.Read(), v);
   }
 }
 

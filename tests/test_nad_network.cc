@@ -141,8 +141,10 @@ TEST(NadNetwork, ManyOutstandingRequestsMultiplexed) {
   Waiter w;
   constexpr int kOps = 100;
   for (int i = 0; i < kOps; ++i) {
+    std::string v = "v";
+    v += std::to_string(i);
     cluster.client->IssueWrite(1, RegisterId{0, static_cast<BlockId>(i)},
-                               "v" + std::to_string(i), [&] { w.Done(); });
+                               std::move(v), [&] { w.Done(); });
   }
   ASSERT_TRUE(w.WaitFor(kOps));
   EXPECT_EQ(cluster.client->InFlight(), 0u);
@@ -318,7 +320,9 @@ TEST(NadNetwork, CrashedRegisterOmittedFromBatchResponse) {
   std::vector<Message> burst;
   for (std::uint64_t id = 1; id <= 3; ++id) {
     // Blocks 0, 1 (crashed), 2.
-    burst.push_back(RawWrite(id, RegisterId{0, id - 1}, "b" + std::to_string(id)));
+    std::string v = "b";
+    v += std::to_string(id);
+    burst.push_back(RawWrite(id, RegisterId{0, id - 1}, v));
   }
   ASSERT_TRUE(SendAll(*sock, FrameRun(burst)).ok());
   EXPECT_EQ(RecvMessage(*sock).request_id, 1u);

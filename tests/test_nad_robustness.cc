@@ -149,9 +149,13 @@ TEST(NadRobustness, ManyConcurrentClientsNoCrossTalk) {
       int done = 0;
       for (int i = 0; i < kOps; ++i) {
         // Each client owns its own block: values must never bleed across.
+        std::string v = "c";
+        v += std::to_string(c);
+        v += ".";
+        v += std::to_string(i);
         (*client)->IssueWrite(static_cast<ProcessId>(c),
                               RegisterId{0, static_cast<BlockId>(c)},
-                              "c" + std::to_string(c) + "." + std::to_string(i),
+                              std::move(v),
                               [&] {
                                 MutexLock lock(mu);
                                 ++done;
@@ -177,7 +181,11 @@ TEST(NadRobustness, ManyConcurrentClientsNoCrossTalk) {
         ++failures;
         return;
       }
-      if (got != "c" + std::to_string(c) + "." + std::to_string(kOps - 1)) {
+      std::string want = "c";
+      want += std::to_string(c);
+      want += ".";
+      want += std::to_string(kOps - 1);
+      if (got != want) {
         ++failures;
       }
     });

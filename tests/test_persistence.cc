@@ -4,13 +4,16 @@
 
 #include <sys/resource.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -120,6 +123,74 @@ TEST(Persistence, RecoveryCutsTornTailBeforeLaterAppends) {
   EXPECT_EQ(store.Get(RegisterId{0, 2}), "after");
 }
 
+TEST(Persistence, ReplayStreamsRecordsLargerThanTheReadBuffer) {
+  // Replay reads one record at a time into a reused buffer; records far
+  // larger than stdio's buffer, and empty ones between them, come back
+  // whole and in order.
+  TempDir dir;
+  const std::vector<std::string> values = {
+      std::string((1 << 20) + 7, 'a'), "", std::string(100000, 'b'), "c",
+      std::string(70000, 'd')};
+  {
+    Journal journal;
+    ASSERT_TRUE(journal.Open(dir.Base() + ".log").ok());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      ASSERT_TRUE(journal.Append(RegisterId{0, i}, values[i]).ok());
+    }
+    // A later record of the same register wins.
+    ASSERT_TRUE(journal.Append(RegisterId{0, 0}, "short").ok());
+  }
+  sim::RegisterStore store;
+  auto n = RecoverState(dir.Base(), &store);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, values.size() + 1);
+  EXPECT_EQ(store.Get(RegisterId{0, 0}), "short");
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    EXPECT_EQ(store.Get(RegisterId{0, i}), values[i]) << i;
+  }
+}
+
+TEST(Persistence, TornTailIsCutInHeaderAndPayload) {
+  // A crash can tear the last record anywhere: inside its 17-byte header
+  // (kind, disk, block, length) or inside its payload. Recovery applies
+  // the whole records before it and cuts the file back to them.
+  TempDir dir;
+  const std::string log = dir.Base() + ".log";
+  {
+    Journal journal;
+    ASSERT_TRUE(journal.Open(log).ok());
+    ASSERT_TRUE(journal.Append(RegisterId{0, 1}, "first").ok());
+  }
+  const auto first_bytes = fs::file_size(log);
+  {
+    Journal journal;
+    ASSERT_TRUE(journal.Open(log).ok());
+    ASSERT_TRUE(journal.Append(RegisterId{0, 2}, std::string(70000, 'x')).ok());
+  }
+  std::string full;
+  {
+    std::ifstream in(log, std::ios::binary);
+    full.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  constexpr std::size_t kHeader = 17;
+  for (std::size_t cut : {std::size_t{1}, std::size_t{5}, std::size_t{13},
+                          kHeader - 1, kHeader, kHeader + 1, kHeader + 8191,
+                          kHeader + 8192, kHeader + 69999}) {
+    SCOPED_TRACE(cut);
+    {
+      std::ofstream out(log, std::ios::binary | std::ios::trunc);
+      out.write(full.data(), static_cast<std::streamsize>(first_bytes + cut));
+    }
+    sim::RegisterStore store;
+    auto n = RecoverState(dir.Base(), &store);
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, 1u);
+    EXPECT_EQ(store.Get(RegisterId{0, 1}), "first");
+    EXPECT_EQ(store.Get(RegisterId{0, 2}), "");
+    EXPECT_EQ(fs::file_size(log), first_bytes);
+  }
+}
+
 TEST(Persistence, CheckpointThenJournalReplayOrder) {
   TempDir dir;
   sim::RegisterStore original;
@@ -206,6 +277,75 @@ struct SyncPoint {
   }
 };
 
+TEST(Persistence, FailedJournalAppendIsCountedAndUnanswered) {
+  // A write whose append fails (here: past RLIMIT_FSIZE) is dropped like
+  // a failing disk's: no answer before its deadline, and STATS counts it.
+  // Once appends succeed again, writes are acknowledged and durable.
+  TempDir dir;
+  const std::string log = dir.Base() + ".log";
+  {
+    FileSizeCap cap;
+    NadServer::Options opts;
+    opts.data_path = dir.Base();
+    auto server = NadServer::Start(opts);
+    ASSERT_TRUE(server.ok());
+    auto client = NadClient::Connect(
+        {{0, Endpoint{"127.0.0.1", (*server)->port()}}});
+    ASSERT_TRUE(client.ok());
+    SyncPoint sync;
+    (*client)->IssueWrite(1, RegisterId{0, 1}, "before", [&] { sync.Done(); });
+    sync.Wait(1);
+
+    ASSERT_TRUE(cap.Cap(fs::file_size(log) + 100));
+    std::atomic<bool> answered{false};
+    std::vector<NadClient::Op> ops;
+    ops.push_back(NadClient::Op::Write(RegisterId{0, 2},
+                                       std::string(20000, 'x'),
+                                       [&] { answered = true; }));
+    (*client)->Submit(1, std::move(ops),
+                      OpOptions::WithDeadline(std::chrono::milliseconds(300)));
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((*client)->InFlight() > 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ((*client)->InFlight(), 0u);  // expired, never answered
+    EXPECT_FALSE(answered.load());
+    auto stats = (*client)->QueryStats(0, std::chrono::milliseconds(2000));
+    ASSERT_TRUE(stats.ok());
+    EXPECT_NE(stats->find("counter nad.server.journal_failures 1\n"),
+              std::string::npos)
+        << *stats;
+
+    cap.Lift();
+    (*client)->IssueWrite(1, RegisterId{0, 3}, "after", [&] { sync.Done(); });
+    sync.Wait(2);
+    (*server)->Stop();
+  }
+  NadServer::Options opts;
+  opts.data_path = dir.Base();
+  auto server = NadServer::Start(opts);
+  ASSERT_TRUE(server.ok());
+  EXPECT_EQ((*server)->RecoveredCount(), 2u);
+  auto client =
+      NadClient::Connect({{0, Endpoint{"127.0.0.1", (*server)->port()}}});
+  ASSERT_TRUE(client.ok());
+  SyncPoint sync;
+  std::string v2 = "unread", v3;
+  (*client)->IssueRead(1, RegisterId{0, 2}, [&](Value v) {
+    v2 = std::move(v);
+    sync.Done();
+  });
+  (*client)->IssueRead(1, RegisterId{0, 3}, [&](Value v) {
+    v3 = std::move(v);
+    sync.Done();
+  });
+  sync.Wait(2);
+  EXPECT_EQ(v2, "");
+  EXPECT_EQ(v3, "after");
+}
+
 TEST(Persistence, ServerRestartsWithAcknowledgedWrites) {
   TempDir dir;
   std::uint16_t port = 0;
@@ -266,7 +406,9 @@ TEST(Persistence, CheckpointCompactsAndSurvivesRestart) {
     ASSERT_TRUE(client.ok());
     SyncPoint sync;
     for (int i = 0; i < 10; ++i) {
-      (*client)->IssueWrite(1, RegisterId{0, 1}, "v" + std::to_string(i),
+      std::string v = "v";
+      v += std::to_string(i);
+      (*client)->IssueWrite(1, RegisterId{0, 1}, std::move(v),
                             [&] { sync.Done(); });
     }
     sync.Wait(10);

@@ -174,7 +174,9 @@ TEST_P(ActiveDiskPaxosRace, ConcurrentProposersAgree) {
         ActiveDiskPaxos paxos(farm, cfg, 1,
                               static_cast<ProcessId>(1000 + 37 * p));
         Rng rng(GetParam() * 10 + p);
-        std::string v = paxos.Propose("v" + std::to_string(p), rng);
+        std::string proposal = "v";
+        proposal += std::to_string(p);
+        std::string v = paxos.Propose(proposal, rng);
         MutexLock lock(mu);
         decisions.push_back(std::move(v));
       });

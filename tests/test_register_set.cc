@@ -74,7 +74,9 @@ TEST(RegisterSet, ReadAllReturnsPerRegisterValues) {
   RegisterSet set(farm, 1, regs);
   // Pre-populate registers with distinct values.
   for (std::size_t i = 0; i < regs.size(); ++i) {
-    farm.IssueWrite(99, regs[i], "v" + std::to_string(i), nullptr);
+    std::string v = "v";
+    v += std::to_string(i);
+    farm.IssueWrite(99, regs[i], std::move(v), nullptr);
   }
   farm.DeliverAll();
 
@@ -84,7 +86,9 @@ TEST(RegisterSet, ReadAllReturnsPerRegisterValues) {
   auto results = t.Results();
   ASSERT_EQ(results.size(), 3u);
   for (const auto& [idx, v] : results) {
-    EXPECT_EQ(v, "v" + std::to_string(idx));
+    std::string want = "v";
+    want += std::to_string(idx);
+    EXPECT_EQ(v, want);
   }
 }
 
@@ -373,7 +377,9 @@ TEST(RegisterSet, WorksOnRandomizedFarmUnderCrash) {
   farm.CrashDisk(2);  // one of three disks down: quorum 2 still reachable
   RegisterSet set(farm, 1, regs);
   for (int i = 0; i < 50; ++i) {
-    auto t = set.WriteAll("v" + std::to_string(i));
+    std::string v = "v";
+    v += std::to_string(i);
+    auto t = set.WriteAll(std::move(v));
     ASSERT_TRUE(set.Await(t, 2, 2000ms)) << "write " << i;
   }
   auto t = set.ReadAll();

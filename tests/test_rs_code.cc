@@ -1,5 +1,5 @@
 // Unit tests for the Reed–Solomon fragment codec and the coded-cell
-// semilattice: the GF(2^8) kernels and CRC-32 against their bytewise
+// semilattice: the GF(2^8) and CRC-32 kernels against their bytewise
 // oracles, golden fragments, round-trips over an (n, k) grid on every
 // kernel, every erasure pattern up to n-k losses, corrupted-fragment
 // rejection, the merge laws (commutativity, idempotence, commit pruning,
@@ -255,18 +255,47 @@ TEST(CodedCell, Crc32CheckValue) {
 }
 
 TEST(CodedCell, Crc32MatchesBytewiseReference) {
-  // Slicing-by-8 against the bytewise loop: random lengths (across the
-  // 8-byte block boundary and well past it) at every start alignment.
+  // Every kernel against the bytewise loop, at all 16 start offsets:
+  // every length 0..300 (across the 8-byte slicing step and the 16- and
+  // 64-byte folding steps, with every tail), random lengths up to
+  // 64 KiB + 15, and the fragment lengths of a 64 KiB value at the
+  // benchmark geometries.
   Rng rng(17);
-  const std::string buf = RandomValue(rng, 4096 + 64);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const std::size_t off = trial % 16;
-    const std::size_t len =
-        trial < 200 ? static_cast<std::size_t>(trial) : rng.Below(4096);
-    const std::string_view bytes(buf.data() + off, len);
-    ASSERT_EQ(Crc32(bytes), nadreg::detail::Crc32Bytewise(bytes))
-        << "off=" << off << " len=" << len;
+  constexpr std::size_t kMaxLen = 64 * 1024 + 15;
+  const std::string buf = RandomValue(rng, kMaxLen + 16);
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 300; ++len) lengths.push_back(len);
+  for (int i = 0; i < 24; ++i) lengths.push_back(rng.Below(kMaxLen + 1));
+  for (auto [n, k] : {std::pair<unsigned, unsigned>{4, 2}, {8, 5}}) {
+    lengths.push_back(RsCode::Make(n, k)->FragmentSize(64 * 1024));
   }
+  for (nadreg::detail::CrcKernel kernel :
+       nadreg::detail::AvailableCrcKernels()) {
+    SCOPED_TRACE(nadreg::detail::CrcKernelName(kernel));
+    for (std::size_t off = 0; off < 16; ++off) {
+      for (std::size_t len : lengths) {
+        const std::string_view bytes(buf.data() + off, len);
+        ASSERT_EQ(nadreg::detail::Crc32(kernel, bytes),
+                  nadreg::detail::Crc32Bytewise(bytes))
+            << "off=" << off << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(CodedCell, ActiveCrcKernelIsClmulWherePclmulRuns) {
+  // The fast path must not fall off silently: a CPU with PCLMULQDQ runs
+  // Crc32 on the folding kernel.
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("pclmul")) {
+    EXPECT_EQ(nadreg::detail::ActiveCrcKernel(),
+              nadreg::detail::CrcKernel::kClmul);
+    return;
+  }
+#endif
+  EXPECT_EQ(nadreg::detail::ActiveCrcKernel(),
+            nadreg::detail::CrcKernel::kSlicing8);
 }
 
 // --- Coded-cell semilattice laws -------------------------------------------

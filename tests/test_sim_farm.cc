@@ -142,7 +142,9 @@ TEST(SimFarm, LastDeliveredWriteWins) {
   RegisterId r{0, 0};
   Counter done;
   for (int i = 0; i < 20; ++i) {
-    farm.IssueWrite(1, r, "v" + std::to_string(i), [&] { done.Bump(); });
+    std::string v = "v";
+    v += std::to_string(i);
+    farm.IssueWrite(1, r, std::move(v), [&] { done.Bump(); });
   }
   ASSERT_TRUE(done.WaitFor(20));
   // Some write was delivered last; the register holds one of them.
@@ -328,8 +330,10 @@ TEST_P(SimFarmSeeds, FinalStateIsSomeWrittenValue) {
   SimFarm farm(Fast(GetParam()));
   Counter done;
   for (int i = 0; i < 30; ++i) {
+    std::string v = "v";
+    v += std::to_string(i);
     farm.IssueWrite(1, RegisterId{0, static_cast<BlockId>(i % 3)},
-                    "v" + std::to_string(i), [&] { done.Bump(); });
+                    std::move(v), [&] { done.Bump(); });
   }
   ASSERT_TRUE(done.WaitFor(30));
   for (BlockId b = 0; b < 3; ++b) {

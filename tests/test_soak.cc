@@ -69,12 +69,16 @@ TEST(Soak, RegisterChurnAcrossManyBlocks) {
   for (int i = 0; i < kRegisters; ++i) {
     const BlockId block = static_cast<BlockId>(i);
     core::SwsrAtomicWriter writer(farm, cfg, cfg.Spread(block), 1);
-    writer.Write("v" + std::to_string(i));
+    std::string v = "v";
+    v += std::to_string(i);
+    writer.Write(v);
   }
   for (int i = 0; i < kRegisters; ++i) {
     const BlockId block = static_cast<BlockId>(i);
     core::SwsrAtomicReader reader(farm, cfg, cfg.Spread(block), 2);
-    ASSERT_EQ(reader.Read(), "v" + std::to_string(i)) << "register " << i;
+    std::string want = "v";
+    want += std::to_string(i);
+    ASSERT_EQ(reader.Read(), want) << "register " << i;
   }
 }
 
@@ -89,11 +93,13 @@ TEST(Soak, MwmrNameBudgetSustainedUse) {
   core::MwmrAtomic writer(farm, cfg, 1, 1);
   core::MwmrAtomic reader(farm, cfg, 1, 2);
   for (int i = 0; i < 300; ++i) {
-    writer.Write("v" + std::to_string(i));
+    std::string want = "v";
+    want += std::to_string(i);
+    writer.Write(want);
     if (i % 10 == 0) {
       auto v = reader.Read();
       ASSERT_TRUE(v.has_value());
-      EXPECT_EQ(*v, "v" + std::to_string(i));
+      EXPECT_EQ(*v, want);
     }
   }
   // Amortized cost sanity: total base ops bounded well below the naive

@@ -51,8 +51,10 @@ TEST(SwsrAtomic, SequenceOfWritesReadInOrder) {
   SwsrAtomicWriter writer(farm, rig.farm_cfg, rig.regs, kWriter);
   SwsrAtomicReader reader(farm, rig.farm_cfg, rig.regs, kReader);
   for (int i = 0; i < 20; ++i) {
-    writer.Write("v" + std::to_string(i));
-    EXPECT_EQ(reader.Read(), "v" + std::to_string(i));
+    std::string v = "v";
+    v += std::to_string(i);
+    writer.Write(v);
+    EXPECT_EQ(reader.Read(), v);
   }
 }
 
@@ -179,8 +181,10 @@ TEST(SwsrRegular, MemolessReaderSeesCompletedWrites) {
   SwsrAtomicWriter writer(farm, rig.farm_cfg, rig.regs, kWriter);
   SwsrRegularReader reader(farm, rig.farm_cfg, rig.regs, kReader);
   for (int i = 0; i < 10; ++i) {
-    writer.Write("v" + std::to_string(i));
-    EXPECT_EQ(reader.Read(), "v" + std::to_string(i));
+    std::string v = "v";
+    v += std::to_string(i);
+    writer.Write(v);
+    EXPECT_EQ(reader.Read(), v);
   }
 }
 
