@@ -9,9 +9,10 @@
 // correctness argument is unchanged — the sweeps verify the snapshot
 // properties in both modes; this harness quantifies the latency gap that
 // motivates the default. The warm rows time one collect by an endpoint
-// that already ran its own snapshot at the default 48-bit layout: no new
-// name, so the batched walk takes one round where the sequential walk
-// re-probes the path's 48 unset siblings one by one.
+// that already ran its own snapshot at the default layout: no new name,
+// so the batched walk takes one round where the sequential walk
+// re-probes, one by one, every unset sibling along the known codeword
+// paths (23 along Name{1, 0}'s; core/address.h).
 #include <chrono>
 #include <cstdio>
 
@@ -68,7 +69,7 @@ double MeasureWarmCollectMs(bool pipelined, int prior_names,
   FarmConfig cfg{1};
   SimFarm farm(Delays(delay_us));
   SeedDirectory(farm, cfg, prior_names);
-  NameSnapshot snap(farm, cfg, 1, 1, pipelined);  // default 48-bit layout
+  NameSnapshot snap(farm, cfg, 1, 1, pipelined);  // default layout
   snap.Snapshot(Name{1, 0});
   const auto start = std::chrono::steady_clock::now();
   auto names = snap.Collect();
@@ -93,7 +94,7 @@ int main() {
     double (*measure)(bool, int, std::uint64_t);
   };
   for (const Row& row : {Row{"fresh snapshot", MeasureSnapshotMs},
-                         Row{"warm collect (48-bit)", MeasureWarmCollectMs}}) {
+                         Row{"warm collect", MeasureWarmCollectMs}}) {
     for (std::uint64_t delay : {200ull, 1000ull}) {
       for (int names : {4, 16}) {
         const double seq = row.measure(false, names, delay);

@@ -214,11 +214,11 @@ ScheduleExplorer::RunFactory MwmrScenario() {
     auto scenario = std::make_unique<ThreadedScenario>(farm);
     auto rec = std::make_shared<HistoryRecorder>();
     FarmConfig cfg{1};
-    // Bounded name universe: the deployment trie (48 levels) would make
-    // every announce ~50 quorum ops deep and ~150 decisions wide — no
-    // bounded sweep ever completes a schedule. The scenario uses 3 names
-    // at most, so a 4-bit trie checks the same protocol at model-checking
-    // scale (see core/address.h).
+    // Bounded name universe: the deployment trie (up to 49 levels) would
+    // make every announce dozens of quorum ops deep and wide — no bounded
+    // sweep ever completes a schedule. The scenario uses 3 names at most,
+    // so a 4-bit layout (5-level codewords for these names) checks the
+    // same protocol at model-checking scale (see core/address.h).
     core::NameLayout layout{/*name_bits=*/4, /*index_bits=*/2};
     for (ProcessId pid : {1u, 2u}) {
       scenario->Spawn([&farm, rec, cfg, layout, pid] {

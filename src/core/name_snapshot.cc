@@ -80,16 +80,15 @@ Status NameSnapshot::AnnounceUntil(const Name& name, OpDeadline deadline) {
   // one per level). Safe because "the whole path is visible" — the
   // predicate collects test — is monotone and first becomes true at the
   // linearization point of whichever path bit lands last: no partial
-  // announce can ever be collected, regardless of set order. (The leaf
-  // node is name-specific, so sibling names' bits can never complete a
-  // path whose leaf was not set by this name's own announce.)
-  const std::uint64_t packed = layout_.Pack(name);
-  std::uint64_t node = TrieRoot();
+  // announce can ever be collected, regardless of set order. (The path is
+  // a prefix-free codeword, so its leaf is name-specific: sibling names'
+  // bits can never complete a path whose leaf was not set by this name's
+  // own announce.)
+  const TriePath code = layout_.Path(name);
   std::vector<StickyBit*> path;
-  path.reserve(layout_.name_bits);
-  for (int d = 0; d < layout_.name_bits; ++d) {
-    node = TrieChild(node, (packed >> (layout_.name_bits - 1 - d)) & 1);
-    StickyBit& bit = Mark(node);
+  path.reserve(code.length);
+  for (int d = 1; d <= code.length; ++d) {
+    StickyBit& bit = Mark(code.Node(d));
     if (!bit.KnownSet()) {
       ++stats_.sticky_sets;
       path.push_back(&bit);
@@ -114,20 +113,20 @@ Expected<std::vector<Name>> NameSnapshot::CollectUntil(OpDeadline deadline) {
 Expected<std::vector<Name>> NameSnapshot::CollectSequential(
     OpDeadline deadline) {
   std::vector<Name> out;
-  std::vector<std::pair<std::uint64_t, int>> stack;  // (trie node, depth)
-  stack.emplace_back(TrieRoot(), 0);
+  std::vector<std::uint64_t> stack{TrieRoot()};  // set trie nodes
   while (!stack.empty()) {
-    auto [node, depth] = stack.back();
+    const std::uint64_t node = stack.back();
     stack.pop_back();
-    if (depth == layout_.name_bits) {
-      out.push_back(layout_.Unpack(node - (1ULL << layout_.name_bits)));
+    if (auto name = layout_.LeafName(node)) {
+      out.push_back(*name);
       continue;
     }
     for (unsigned bit : {0u, 1u}) {
       const std::uint64_t child = TrieChild(node, bit);
+      if (!layout_.OnSomePath(child)) continue;
       auto set = MarkIsSet(child, deadline);
       if (!set.ok()) return set.status();
-      if (*set) stack.emplace_back(child, depth + 1);
+      if (*set) stack.push_back(child);
     }
   }
   std::sort(out.begin(), out.end());
@@ -142,31 +141,33 @@ Expected<std::vector<Name>> NameSnapshot::CollectPipelined(
   // expand at once (sticky: cached truth is forever). So a walk costs one
   // round plus one per level of newly discovered chain, reads exactly the
   // bits the sequential walk reads, and probes a child only after its
-  // parent's read and write-back completed.
+  // parent's read and write-back completed. Both walks report a name at
+  // its codeword's leaf without expanding it, and skip children no
+  // codeword passes through: those are never set.
   std::vector<Name> out;
-  std::vector<std::pair<std::uint64_t, int>> expand;  // (set node, depth)
-  expand.emplace_back(TrieRoot(), 0);
-  std::vector<std::pair<std::uint64_t, int>> probed;
+  std::vector<std::uint64_t> expand{TrieRoot()};  // set trie nodes
+  std::vector<std::uint64_t> probed;
   std::vector<StickyBit*> probes;
   for (;;) {
     probed.clear();
     probes.clear();
     while (!expand.empty()) {
-      auto [node, depth] = expand.back();
+      const std::uint64_t node = expand.back();
       expand.pop_back();
-      if (depth == layout_.name_bits) {
-        out.push_back(layout_.Unpack(node - (1ULL << layout_.name_bits)));
+      if (auto name = layout_.LeafName(node)) {
+        out.push_back(*name);
         continue;
       }
       for (unsigned b : {0u, 1u}) {
         const std::uint64_t child = TrieChild(node, b);
+        if (!layout_.OnSomePath(child)) continue;
         StickyBit& bit = Mark(child);
         if (bit.KnownSet()) {
-          expand.emplace_back(child, depth + 1);
+          expand.push_back(child);
         } else {
           ++stats_.sticky_reads;
           probes.push_back(&bit);
-          probed.emplace_back(child, depth + 1);
+          probed.push_back(child);
         }
       }
     }

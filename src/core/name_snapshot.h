@@ -15,8 +15,10 @@
 /// spread over the 2t+1 disks):
 ///
 ///   * Name directory: an unbounded binary trie of sticky bits. A name
-///     announces itself by setting the 48 sticky bits along its packed
-///     name's root-to-leaf path — concurrently, in one quorum round trip:
+///     announces itself by setting the sticky bits along its root-to-leaf
+///     path — a prefix-free codeword of its packed bits, about as long as
+///     its significant bits (core/address.h) — concurrently, in one quorum
+///     round trip:
 ///     a partially announced name is never collectable because "the whole
 ///     path is visible" is monotone and first holds when the last path bit
 ///     lands, and the leaf bit is name-specific. A collect walks the
@@ -96,9 +98,9 @@ class NameSnapshot : public obs::Instrumented {
   /// sequential mode is kept for the ablation bench. Both modes read the
   /// same bits, each child only after its parent's read and write-back
   /// completed, so the double-collect pin argument is unchanged. `layout`
-  /// bounds the name universe (trie depth = layout.name_bits); the default
-  /// is the full deployment layout — smaller layouts are for bounded model
-  /// checking (see core/address.h).
+  /// bounds the name universe (trie depth at most layout.name_bits + 1);
+  /// the default is the full deployment layout — smaller layouts are for
+  /// bounded model checking (see core/address.h).
   NameSnapshot(BaseRegisterClient& client, const FarmConfig& farm,
                std::uint32_t object, ProcessId self,
                bool pipelined_collect = true, NameLayout layout = {});

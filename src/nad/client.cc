@@ -279,6 +279,7 @@ void NadClient::Submit(ProcessId /*p*/, std::vector<Op> ops,
   // the batch atomically — the admission pass then writes everything
   // bound for one disk with one writev (and each loop wakes once).
   std::vector<std::vector<SubmitEntry>> per_loop(loops_.size());
+  std::int64_t admitted = 0;
   for (Op& op : ops) {
     Conn* conn = ConnFor(op.reg.disk);
     if (conn == nullptr || conn->loop->dead()) {
@@ -297,11 +298,13 @@ void NadClient::Submit(ProcessId /*p*/, std::vector<Op> ops,
       RejectOversized(op.reg, op.value.size());
       continue;
     }
-    AddInFlight(1);
+    ++admitted;
     std::vector<SubmitEntry>& share = per_loop[conn->loop_index];
     if (share.empty()) share.reserve(ops.size());
     share.push_back(SubmitEntry{std::move(op), conn, now, expires});
   }
+  // Counted once per batch, before any loop can complete one of its ops.
+  if (admitted > 0) AddInFlight(admitted);
   for (std::size_t i = 0; i < per_loop.size(); ++i) {
     if (per_loop[i].empty()) continue;
     // shared_ptr capture: std::function requires copyable callables and
@@ -518,14 +521,21 @@ void NadClient::OnIoReady(Conn* conn, std::uint32_t events) {
       OnLinkBroken(conn);
       return;
     }
+    // The buffered frames' completions settle in one update, before any
+    // of their handlers runs: a waiter its handler wakes never sees its
+    // own op in flight. Frames that completed nothing are added back.
+    const auto ready = static_cast<std::int64_t>(conn->io.ReadyFrames());
+    if (ready > 0) AddInFlight(-ready);
+    std::int64_t completed = 0;
     std::string_view payload;
     FramedConn::Frame next = conn->io.NextFrame(&payload);
     for (; next == FramedConn::Frame::kReady;
          next = conn->io.NextFrame(&payload)) {
-      HandleFrame(conn, payload);
+      if (HandleFrame(conn, payload)) ++completed;
       // The frame is dispatched; the decode views into it are dead.
       conn->io.Consume(payload);
     }
+    if (completed != ready) AddInFlight(ready - completed);
     if (next == FramedConn::Frame::kBadLength) {
       LOG_WARN << "nad-client: disk " << conn->disk
                << " sent a frame longer than " << kMaxFrameBytes
@@ -541,13 +551,13 @@ void NadClient::OnIoReady(Conn* conn, std::uint32_t events) {
   }
 }
 
-void NadClient::HandleFrame(Conn* conn, std::string_view payload) {
+bool NadClient::HandleFrame(Conn* conn, std::string_view payload) {
   const auto now = Clock::now();
   auto decoded = DecodeMessageView(payload);
   if (!decoded) {
     LOG_WARN << "nad-client: malformed response: "
              << decoded.status().ToString();
-    return;
+    return false;
   }
   // Any successfully received frame is proof of life: close the breaker
   // so suspicion clears as soon as the disk answers again.
@@ -572,18 +582,17 @@ void NadClient::HandleFrame(Conn* conn, std::string_view payload) {
     case MsgType::kWriteReq:
     case MsgType::kMergeReq:
     case MsgType::kStatsReq:
-      return;  // not a response opcode; ignore
+      return false;  // not a response opcode; ignore
   }
   // hot-path-begin(client-dispatch)
   PendingOp* entry = conn->pending.Find(msg.request_id);
-  if (entry == nullptr || entry->req_type != expect) return;
+  if (entry == nullptr || entry->req_type != expect) return false;
   PendingOp op;
   conn->pending.Take(msg.request_id, &op);
   // A response for a write whose bytes are still queued can only come
   // from a confused or hostile server (an honest response proves the
   // frame was fully sent), but the queue must never dangle.
   conn->io.KeepAlive(std::move(op.value));
-  AddInFlight(-1);
   if (msg.type == MsgType::kReadResp) {
     hotpath::CountCopy(msg.value.size());
     read_us_->ObserveSince(op.start);
@@ -605,6 +614,7 @@ void NadClient::HandleFrame(Conn* conn, std::string_view payload) {
       op.on_stats(std::string(msg.value));
     }
   }
+  return true;
   // hot-path-end
 }
 

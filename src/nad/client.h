@@ -224,7 +224,10 @@ class NadClient : public BaseRegisterClient {
 
   /// Number of operations whose response is still outstanding (reads,
   /// writes, and STATS probes). Always equals the nad.client.in_flight
-  /// gauge: both read the same atomic counter.
+  /// gauge: both read the same atomic counter. Exact whenever no response
+  /// drain is running: a drain settles its frames' completions before
+  /// their handlers run, and corrects for frames that completed nothing
+  /// after the last one.
   std::size_t InFlight() const;
 
   /// Event loops actually running (after defaulting and clamping).
@@ -251,8 +254,9 @@ class NadClient : public BaseRegisterClient {
   void Admit(std::vector<SubmitEntry> entries);
   /// Redial completion, response reads and write resumption.
   void OnIoReady(Conn* conn, std::uint32_t events);
-  /// Decodes one response frame and completes its pending op.
-  void HandleFrame(Conn* conn, std::string_view payload);
+  /// Decodes one response frame and completes its pending op; false when
+  /// the frame completes none (malformed, or its op already expired).
+  bool HandleFrame(Conn* conn, std::string_view payload);
   /// Frames the staged ops into the send queue and flushes it.
   void SendStaged(Conn* conn);
   void OnLinkBroken(Conn* conn);

@@ -327,16 +327,27 @@ FramedConn::Io FramedConn::Fill() {
   // hot-path-end
 }
 
-FramedConn::Frame FramedConn::NextFrame(std::string_view* payload) const {
+FramedConn::Frame FramedConn::FrameAt(std::size_t at,
+                                      std::string_view* payload) const {
   // hot-path-begin(conn-next-frame)
-  if (rx_.Size() < 4) return Frame::kNone;
+  if (rx_.Size() - at < 4) return Frame::kNone;
   std::uint32_t len = 0;
-  std::memcpy(&len, rx_.Head(), 4);
+  std::memcpy(&len, rx_.Head() + at, 4);
   if (len > kMaxFrameBytes) return Frame::kBadLength;
-  if (rx_.Size() - 4 < len) return Frame::kNone;
-  *payload = std::string_view(rx_.Head() + 4, len);
+  if (rx_.Size() - at - 4 < len) return Frame::kNone;
+  *payload = std::string_view(rx_.Head() + at + 4, len);
   return Frame::kReady;
   // hot-path-end
+}
+
+std::size_t FramedConn::ReadyFrames() const {
+  std::size_t frames = 0;
+  std::string_view payload;
+  for (std::size_t at = 0; FrameAt(at, &payload) == Frame::kReady;
+       at += 4 + payload.size()) {
+    ++frames;
+  }
+  return frames;
 }
 
 FramedConn::Io FramedConn::Flush() {

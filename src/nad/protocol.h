@@ -266,7 +266,12 @@ class FramedConn {
   /// The payload of the next complete buffered frame. kNone while it is
   /// incomplete; kBadLength when its length exceeds kMaxFrameBytes (the
   /// stream cannot be resynchronized). The view is valid until Consume.
-  Frame NextFrame(std::string_view* payload) const;
+  Frame NextFrame(std::string_view* payload) const {
+    return FrameAt(0, payload);
+  }
+  /// How many complete frames are buffered: the kReady answers NextFrame
+  /// gives, Consume by Consume, before kNone or kBadLength.
+  std::size_t ReadyFrames() const;
   /// Drops the frame NextFrame returned; views into it die.
   void Consume(std::string_view payload) { rx_.Consume(4 + payload.size()); }
 
@@ -285,6 +290,9 @@ class FramedConn {
  private:
   /// Drops the send queue: chunks, their arena bytes and the zombies.
   void ClearQueue();
+  /// NextFrame for the frame starting `at` bytes into the receive buffer
+  /// (`at` is a frame boundary no further than its end).
+  Frame FrameAt(std::size_t at, std::string_view* payload) const;
 
   Socket sock_;
   RxBuffer rx_;

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/config.h"
 #include "counting_client.h"
 #include "sim/sim_farm.h"
@@ -149,25 +150,41 @@ TEST(NameSnapshot, ToleratesTwoCrashesWithT2) {
   EXPECT_EQ(p2.Snapshot(Name{2, 0}).size(), 2u);
 }
 
+// Sticky reads of a warm collect over a directory holding only `n`: the
+// siblings of its path's nodes that some codeword passes through (the
+// path's own nodes are known set; its leaf is never expanded).
+std::uint64_t WarmCollectReads(const NameLayout& layout, const Name& n) {
+  const TriePath path = layout.Path(n);
+  std::uint64_t reads = 0;
+  for (int d = 1; d <= path.length; ++d) {
+    if (layout.OnSomePath(path.Node(d) ^ 1)) ++reads;
+  }
+  return reads;
+}
+
 TEST(NameSnapshot, StatsAccumulate) {
   FarmConfig cfg{1};
   SimFarm farm;
   NameSnapshot snap(farm, cfg, 1, 1);
   snap.Snapshot(Name{1, 0});
   const auto& st = snap.stats();
-  EXPECT_GE(st.collects, 2u);      // at least one double collect
-  EXPECT_EQ(st.sticky_sets, 48u);  // one announce: 48 path bits
+  EXPECT_GE(st.collects, 2u);  // at least one double collect
+  // One announce sets its codeword's bits: 0 | 010001 | 16 bits.
+  EXPECT_EQ(st.sticky_sets,
+            static_cast<std::uint64_t>(NameLayout{}.Path(Name{1, 0}).length));
+  EXPECT_EQ(st.sticky_sets, 23u);
   EXPECT_GT(st.sticky_reads, 0u);
 }
 
 TEST(NameSnapshot, WarmCollectIsOneRoundAtFullDepth) {
   // After its own snapshot an endpoint knows every set node of its path
-  // through the 48-level trie, so a collect that finds no new name probes
-  // all of the path's unset siblings — at every depth — in ONE round.
+  // through the trie, so a collect that finds no new name probes all of
+  // the path's unset siblings that a codeword passes through — at every
+  // depth — in ONE round.
   FarmConfig cfg{1};
   SimFarm farm;
   testutil::CountingClient client(farm);
-  NameSnapshot snap(client, cfg, 1, 1);  // default 48-bit layout
+  NameSnapshot snap(client, cfg, 1, 1);  // default layout
   snap.Snapshot(Name{1, 0});
   while (farm.InFlight() != 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -177,7 +194,65 @@ TEST(NameSnapshot, WarmCollectIsOneRoundAtFullDepth) {
 
   EXPECT_EQ(snap.Collect(), std::vector<Name>{(Name{1, 0})});
   EXPECT_EQ(client.ReadCalls(), 1u);
-  EXPECT_EQ(snap.stats().sticky_reads - sticky_reads, 48u);
+  EXPECT_EQ(snap.stats().sticky_reads - sticky_reads,
+            WarmCollectReads(NameLayout{}, Name{1, 0}));
+  EXPECT_EQ(snap.stats().sticky_reads - sticky_reads, 23u);
+}
+
+// One random name per packed bit width 0..name_bits (so both code forms,
+// every length and the short/long boundary appear), plus `extra` random
+// widths, shuffled.
+std::vector<Name> MixedWidthNames(const NameLayout& layout, Rng& rng,
+                                  int extra) {
+  std::vector<int> widths;
+  for (int len = 0; len <= layout.name_bits; ++len) widths.push_back(len);
+  for (int i = 0; i < extra; ++i) {
+    widths.push_back(static_cast<int>(rng.Below(layout.name_bits + 1)));
+  }
+  std::set<Name> names;
+  for (int len : widths) {
+    const std::uint64_t packed =
+        len == 0 ? 0 : (1ULL << (len - 1)) | rng.Below(1ULL << (len - 1));
+    names.insert(layout.Unpack(packed));
+  }
+  std::vector<Name> out(names.begin(), names.end());
+  for (std::size_t i = out.size(); i > 1; --i) {
+    std::swap(out[i - 1], out[rng.Below(i)]);
+  }
+  return out;
+}
+
+TEST(NameSnapshot, CollectsExactlyTheAnnouncedMixOfCodeForms) {
+  // Short- and long-form names are announced one at a time; after each,
+  // a warm endpoint (both collect modes) and a fresh one collect exactly
+  // the names announced so far.
+  FarmConfig cfg{1};
+  const NameLayout layouts[] = {{48, 16}, {8, 3}};
+  for (const NameLayout& layout : layouts) {
+    for (std::uint64_t seed : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message() << "layout " << layout.name_bits
+                                        << ", seed " << seed);
+      SimFarm::Options o;
+      o.seed = seed;
+      o.max_delay_us = 0;
+      SimFarm farm(o);
+      Rng rng(seed);
+      const std::uint32_t object = 1;
+      NameSnapshot announcer(farm, cfg, object, 1, true, layout);
+      NameSnapshot pipelined(farm, cfg, object, 2, true, layout);
+      NameSnapshot sequential(farm, cfg, object, 3, false, layout);
+      std::vector<Name> announced;
+      for (const Name& n : MixedWidthNames(layout, rng, 8)) {
+        announcer.Announce(n);
+        announced.insert(
+            std::upper_bound(announced.begin(), announced.end(), n), n);
+        EXPECT_EQ(pipelined.Collect(), announced);
+        EXPECT_EQ(sequential.Collect(), announced);
+        NameSnapshot fresh(farm, cfg, object, 4, true, layout);
+        EXPECT_EQ(fresh.Collect(), announced);
+      }
+    }
+  }
 }
 
 TEST(NameSnapshot, AdoptionPathFiresUnderInterference) {
